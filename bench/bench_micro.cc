@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "src/cluster/kmeans.h"
 #include "src/core/common_subtrees.h"
 #include "src/core/evaluation.h"
@@ -117,6 +120,23 @@ void BM_HotParseLocate(benchmark::State& state) {
                           static_cast<int64_t>(html.size()));
 }
 BENCHMARK(BM_HotParseLocate);
+
+// BM_HotParseLocate with one extractor per thread, as ExtractBatch runs it.
+// tools/check_bench_regression.py --scaling gates CI on the aggregate
+// items/s at T = min(cores, 4) threads staying >= 0.5 * T times the
+// 1-thread rate: shared state on the parse path shows up here.
+void BM_ThreadedHotParseLocate(benchmark::State& state) {
+  BM_HotParseLocate(state);  // each thread compiles and parses on its own
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+void ScalingThreads(benchmark::internal::Benchmark* bench) {
+  bench->Threads(1);
+  int threads =
+      std::min(static_cast<int>(std::thread::hardware_concurrency()), 4);
+  if (threads > 1) bench->Threads(threads);
+}
+BENCHMARK(BM_ThreadedHotParseLocate)->Apply(ScalingThreads)->UseRealTime();
 
 void BM_TagSignature(benchmark::State& state) {
   const html::TagTree& tree = MultiMatchTree();

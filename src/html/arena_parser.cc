@@ -16,12 +16,6 @@ bool IsTagNameChar(char c) {
   return IsAsciiAlnum(c) || c == '-' || c == '_' || c == ':';
 }
 
-/// Same set as parser.cc: tags that belong in <head>.
-bool IsHeadOnlyTag(TagId id) {
-  return id == Tag::kTitle || id == Tag::kMeta || id == Tag::kLink ||
-         id == Tag::kBase || id == Tag::kStyle;
-}
-
 /// AppendUtf8 with a char sink instead of a std::string.
 template <typename Sink>
 void PushUtf8(uint32_t cp, Sink&& push) {

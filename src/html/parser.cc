@@ -2,18 +2,13 @@
 
 #include <vector>
 
+#include "src/html/tag_table.h"
 #include "src/html/tokenizer.h"
 #include "src/util/strings.h"
 
 namespace thor::html {
 
 namespace {
-
-/// Tags that belong in <head>; seeing one before <body> opens <head>.
-bool IsHeadOnlyTag(TagId id) {
-  return id == Tag::kTitle || id == Tag::kMeta || id == Tag::kLink ||
-         id == Tag::kBase || id == Tag::kStyle;
-}
 
 class TreeBuilder {
  public:

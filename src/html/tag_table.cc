@@ -1,5 +1,6 @@
 #include "src/html/tag_table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <mutex>
@@ -12,21 +13,121 @@ namespace thor::html {
 
 namespace {
 
-// Case-folding hash/equality so lookups never have to materialize a
+// FNV-1a over lowercased bytes, so lookups never have to materialize a
 // lowercased copy of the queried name.
-struct FoldedHash {
+constexpr uint64_t FoldedHash(std::string_view s) {
+  uint64_t hash = 14695981039346656037ull;
+  for (char c : s) {
+    hash ^= static_cast<unsigned char>(AsciiToLower(c));
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// ---------------------------------------------------------------------------
+// Well-known tags: a compile-time open-addressing index from the folded
+// hash of a name to its id. Read-only, so lookups need no lock.
+
+// The case-folding lookup below is a bijection only if every well-known
+// name is non-empty, lowercase ASCII alphanumeric and listed once.
+constexpr bool WellKnownTagsAreCanonical() {
+  for (size_t i = 0; i < kWellKnownTags.size(); ++i) {
+    if (kWellKnownTags[i].empty()) return false;
+    for (char c : kWellKnownTags[i]) {
+      if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9'))) return false;
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (kWellKnownTags[i] == kWellKnownTags[j]) return false;
+    }
+  }
+  return true;
+}
+static_assert(WellKnownTagsAreCanonical(),
+              "well-known tag names must be distinct, lowercase alnum");
+
+constexpr size_t kIndexSlots = 256;  // power of two; load factor ~0.26
+static_assert(kIndexSlots >= 2 * kWellKnownTags.size());
+
+struct WellKnownIndex {
+  std::array<int8_t, kIndexSlots> slot{};  // id, or -1 when empty
+  size_t longest_probe = 0;                // slots visited to place a name
+  size_t longest_name = 0;
+};
+
+constexpr WellKnownIndex BuildWellKnownIndex() {
+  WellKnownIndex index;
+  index.slot.fill(-1);
+  for (size_t id = 0; id < kWellKnownTags.size(); ++id) {
+    std::string_view name = kWellKnownTags[id];
+    size_t i = FoldedHash(name) & (kIndexSlots - 1);
+    size_t probe = 1;
+    for (; index.slot[i] >= 0; i = (i + 1) & (kIndexSlots - 1)) ++probe;
+    index.slot[i] = static_cast<int8_t>(id);
+    index.longest_probe = std::max(index.longest_probe, probe);
+    index.longest_name = std::max(index.longest_name, name.size());
+  }
+  return index;
+}
+
+constexpr WellKnownIndex kWellKnownIndex = BuildWellKnownIndex();
+static_assert(kWellKnownTagCount <= 127, "ids must fit the int8_t slots");
+static_assert(kWellKnownIndex.longest_probe <= 3,
+              "well-known index clusters; grow kIndexSlots");
+
+// `name` in any case against a lowercase well-known name.
+constexpr bool FoldedEquals(std::string_view name, std::string_view known) {
+  if (name.size() != known.size()) return false;
+  for (size_t i = 0; i < name.size(); ++i) {
+    if (AsciiToLower(name[i]) != known[i]) return false;
+  }
+  return true;
+}
+
+// Id of a well-known `name` (any case), or -1.
+constexpr TagId FindWellKnown(std::string_view name) {
+  if (name.empty() || name.size() > kWellKnownIndex.longest_name) return -1;
+  for (size_t i = FoldedHash(name) & (kIndexSlots - 1);;
+       i = (i + 1) & (kIndexSlots - 1)) {
+    int8_t id = kWellKnownIndex.slot[i];
+    if (id < 0) return -1;
+    if (FoldedEquals(name, kWellKnownTags[static_cast<size_t>(id)])) {
+      return id;
+    }
+  }
+}
+
+constexpr bool EveryWellKnownNameFindsItsId() {
+  for (size_t id = 0; id < kWellKnownTags.size(); ++id) {
+    if (FindWellKnown(kWellKnownTags[id]) != static_cast<TagId>(id)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(EveryWellKnownNameFindsItsId());
+
+// Canonical std::string spellings for `TagName`. After the first call the
+// static's guard is a plain acquire load: no lock.
+const std::array<std::string, kWellKnownTagCount>& WellKnownNames() {
+  static const auto& names = *new std::array<std::string, kWellKnownTagCount>(
+      [] {
+        std::array<std::string, kWellKnownTagCount> out;
+        for (size_t id = 0; id < out.size(); ++id) {
+          out[id] = std::string(kWellKnownTags[id]);
+        }
+        return out;
+      }());
+  return names;
+}
+
+// ---------------------------------------------------------------------------
+// Unknown names: interned once under a lock. ExtractBatch parses pages
+// concurrently, and a drifted page may carry a tag nobody has seen yet.
+
+struct FoldedHasher {
   using is_transparent = void;
   size_t operator()(std::string_view s) const {
-    // FNV-1a over lowercased bytes.
-    uint64_t hash = 14695981039346656037ull;
-    for (char c : s) {
-      hash ^= static_cast<unsigned char>(AsciiToLower(c));
-      hash *= 1099511628211ull;
-    }
-    return static_cast<size_t>(hash);
-  }
-  size_t operator()(const std::string& s) const {
-    return (*this)(std::string_view(s));
+    return static_cast<size_t>(FoldedHash(s));
   }
 };
 
@@ -38,12 +139,11 @@ struct FoldedEqual {
 };
 
 struct Registry {
-  // Deque keeps `TagName` references stable while interning grows the
-  // table; the map's string keys are the canonical lowercase spellings.
+  // names[i] is the lowercase spelling of id kWellKnownTagCount + i. The
+  // deque keeps `TagName` references stable while it grows, and the map's
+  // keys view into it.
   std::deque<std::string> names;
-  std::unordered_map<std::string, TagId, FoldedHash, FoldedEqual> ids;
-  // Shared across parse workers: ExtractBatch parses pages concurrently,
-  // and a drifted page may carry a tag the registry has never seen.
+  std::unordered_map<std::string_view, TagId, FoldedHasher, FoldedEqual> ids;
   mutable std::shared_mutex mu;
 
   TagId Intern(std::string_view raw) {
@@ -55,7 +155,7 @@ struct Registry {
     std::unique_lock<std::shared_mutex> lock(mu);
     auto it = ids.find(raw);
     if (it != ids.end()) return it->second;
-    TagId id = static_cast<TagId>(names.size());
+    TagId id = kWellKnownTagCount + static_cast<TagId>(names.size());
     names.push_back(AsciiLower(raw));
     ids.emplace(names.back(), id);
     return id;
@@ -73,103 +173,54 @@ Registry& GetRegistry() {
   return registry;
 }
 
-TagId Reg(const char* name) { return GetRegistry().Intern(name); }
+// ---------------------------------------------------------------------------
+// Path symbols. Frozen: learned templates store path strings spelled with
+// them, so these pins must never change.
+
+constexpr std::string_view kPathAlphabet =
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+static_assert(kPathAlphabet.size() == 62);
+
+constexpr char PathSymbol(TagId id) {
+  return kPathAlphabet[static_cast<size_t>(id) % kPathAlphabet.size()];
+}
+static_assert(PathSymbol(Tag::kHtml) == 'a' && PathSymbol(Tag::kMap) == '9');
+// The well-known ids past the alphabet wrap onto the first five.
+static_assert(PathSymbol(Tag::kArea) == PathSymbol(Tag::kHtml));
+static_assert(PathSymbol(Tag::kParam) == PathSymbol(Tag::kHead));
+static_assert(PathSymbol(Tag::kObject) == PathSymbol(Tag::kBody));
+static_assert(PathSymbol(Tag::kEmbed) == PathSymbol(Tag::kTitle));
+static_assert(PathSymbol(Tag::kNoscript) == PathSymbol(Tag::kMeta));
 
 }  // namespace
 
-// Registration order fixes the well-known ids; do not reorder.
-const TagId Tag::kHtml = Reg("html");
-const TagId Tag::kHead = Reg("head");
-const TagId Tag::kBody = Reg("body");
-const TagId Tag::kTitle = Reg("title");
-const TagId Tag::kMeta = Reg("meta");
-const TagId Tag::kLink = Reg("link");
-const TagId Tag::kScript = Reg("script");
-const TagId Tag::kStyle = Reg("style");
-const TagId Tag::kBase = Reg("base");
-const TagId Tag::kP = Reg("p");
-const TagId Tag::kDiv = Reg("div");
-const TagId Tag::kSpan = Reg("span");
-const TagId Tag::kTable = Reg("table");
-const TagId Tag::kTr = Reg("tr");
-const TagId Tag::kTd = Reg("td");
-const TagId Tag::kTh = Reg("th");
-const TagId Tag::kThead = Reg("thead");
-const TagId Tag::kTbody = Reg("tbody");
-const TagId Tag::kTfoot = Reg("tfoot");
-const TagId Tag::kUl = Reg("ul");
-const TagId Tag::kOl = Reg("ol");
-const TagId Tag::kLi = Reg("li");
-const TagId Tag::kDl = Reg("dl");
-const TagId Tag::kDt = Reg("dt");
-const TagId Tag::kDd = Reg("dd");
-const TagId Tag::kA = Reg("a");
-const TagId Tag::kImg = Reg("img");
-const TagId Tag::kBr = Reg("br");
-const TagId Tag::kHr = Reg("hr");
-const TagId Tag::kInput = Reg("input");
-const TagId Tag::kForm = Reg("form");
-const TagId Tag::kSelect = Reg("select");
-const TagId Tag::kOption = Reg("option");
-const TagId Tag::kTextarea = Reg("textarea");
-const TagId Tag::kB = Reg("b");
-const TagId Tag::kI = Reg("i");
-const TagId Tag::kU = Reg("u");
-const TagId Tag::kEm = Reg("em");
-const TagId Tag::kStrong = Reg("strong");
-const TagId Tag::kFont = Reg("font");
-const TagId Tag::kSmall = Reg("small");
-const TagId Tag::kBig = Reg("big");
-const TagId Tag::kH1 = Reg("h1");
-const TagId Tag::kH2 = Reg("h2");
-const TagId Tag::kH3 = Reg("h3");
-const TagId Tag::kH4 = Reg("h4");
-const TagId Tag::kH5 = Reg("h5");
-const TagId Tag::kH6 = Reg("h6");
-const TagId Tag::kCenter = Reg("center");
-const TagId Tag::kBlockquote = Reg("blockquote");
-const TagId Tag::kPre = Reg("pre");
-const TagId Tag::kCode = Reg("code");
-const TagId Tag::kNobr = Reg("nobr");
-const TagId Tag::kLabel = Reg("label");
-const TagId Tag::kButton = Reg("button");
-const TagId Tag::kCaption = Reg("caption");
-const TagId Tag::kCol = Reg("col");
-const TagId Tag::kColgroup = Reg("colgroup");
-const TagId Tag::kFrame = Reg("frame");
-const TagId Tag::kFrameset = Reg("frameset");
-const TagId Tag::kIframe = Reg("iframe");
-const TagId Tag::kMap = Reg("map");
-const TagId Tag::kArea = Reg("area");
-const TagId Tag::kParam = Reg("param");
-const TagId Tag::kObject = Reg("object");
-const TagId Tag::kEmbed = Reg("embed");
-const TagId Tag::kNoscript = Reg("noscript");
+TagId InternTag(std::string_view name) {
+  TagId id = FindWellKnown(name);
+  return id >= 0 ? id : GetRegistry().Intern(name);
+}
 
-TagId InternTag(std::string_view name) { return GetRegistry().Intern(name); }
-
-TagId FindTag(std::string_view name) { return GetRegistry().Find(name); }
+TagId FindTag(std::string_view name) {
+  TagId id = FindWellKnown(name);
+  return id >= 0 ? id : GetRegistry().Find(name);
+}
 
 const std::string& TagName(TagId id) {
+  assert(id >= 0);
+  if (id < kWellKnownTagCount) return WellKnownNames()[static_cast<size_t>(id)];
   const Registry& registry = GetRegistry();
   std::shared_lock<std::shared_mutex> lock(registry.mu);
-  assert(id >= 0 && static_cast<size_t>(id) < registry.names.size());
-  return registry.names[static_cast<size_t>(id)];
+  size_t index = static_cast<size_t>(id - kWellKnownTagCount);
+  assert(index < registry.names.size());
+  return registry.names[index];
 }
 
 int TagCount() {
   const Registry& registry = GetRegistry();
   std::shared_lock<std::shared_mutex> lock(registry.mu);
-  return static_cast<int>(registry.names.size());
+  return kWellKnownTagCount + static_cast<int>(registry.names.size());
 }
 
-char TagPathSymbol(TagId id) {
-  // Bijective for ids < 62, nearly-unique beyond; the distance metric only
-  // needs symbols to rarely collide.
-  static constexpr char kAlphabet[] =
-      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
-  return kAlphabet[static_cast<size_t>(id) % (sizeof(kAlphabet) - 1)];
-}
+char TagPathSymbol(TagId id) { return PathSymbol(id); }
 
 bool IsVoidTag(TagId id) {
   return id == Tag::kBr || id == Tag::kImg || id == Tag::kHr ||
@@ -181,6 +232,11 @@ bool IsVoidTag(TagId id) {
 bool IsRawTextTag(TagId id) {
   return id == Tag::kScript || id == Tag::kStyle || id == Tag::kTextarea ||
          id == Tag::kTitle;
+}
+
+bool IsHeadOnlyTag(TagId id) {
+  return id == Tag::kTitle || id == Tag::kMeta || id == Tag::kLink ||
+         id == Tag::kBase || id == Tag::kStyle;
 }
 
 bool ClosesOnOpen(TagId open_tag, TagId incoming) {

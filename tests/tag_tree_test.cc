@@ -171,50 +171,5 @@ TEST(TagTreeTest, CopyIsIndependent) {
   EXPECT_EQ(tree.SubtreeText(tree.root()), "hi cell");
 }
 
-TEST(TagTableTest, InternIsCaseInsensitiveAndStable) {
-  EXPECT_EQ(InternTag("TABLE"), Tag::kTable);
-  EXPECT_EQ(InternTag("TaBLe"), Tag::kTable);
-  TagId custom = InternTag("mycustomtag");
-  EXPECT_EQ(InternTag("MYCUSTOMTAG"), custom);
-  EXPECT_EQ(TagName(custom), "mycustomtag");
-}
-
-TEST(TagTableTest, FindReturnsMinusOneForUnknown) {
-  EXPECT_EQ(FindTag("never-seen-tag-xyz"), -1);
-  EXPECT_EQ(FindTag("table"), Tag::kTable);
-}
-
-TEST(TagTableTest, Classification) {
-  EXPECT_TRUE(IsVoidTag(Tag::kBr));
-  EXPECT_TRUE(IsVoidTag(Tag::kImg));
-  EXPECT_FALSE(IsVoidTag(Tag::kDiv));
-  EXPECT_TRUE(IsRawTextTag(Tag::kScript));
-  EXPECT_TRUE(IsRawTextTag(Tag::kStyle));
-  EXPECT_FALSE(IsRawTextTag(Tag::kDiv));
-  EXPECT_TRUE(IsInlineTag(Tag::kB));
-  EXPECT_TRUE(IsInlineTag(Tag::kA));
-  EXPECT_FALSE(IsInlineTag(Tag::kTable));
-}
-
-TEST(TagTableTest, ClosesOnOpenRules) {
-  EXPECT_TRUE(ClosesOnOpen(Tag::kP, Tag::kP));
-  EXPECT_TRUE(ClosesOnOpen(Tag::kP, Tag::kTable));
-  EXPECT_TRUE(ClosesOnOpen(Tag::kLi, Tag::kLi));
-  EXPECT_TRUE(ClosesOnOpen(Tag::kTd, Tag::kTd));
-  EXPECT_TRUE(ClosesOnOpen(Tag::kTd, Tag::kTr));
-  EXPECT_TRUE(ClosesOnOpen(Tag::kTr, Tag::kTr));
-  EXPECT_TRUE(ClosesOnOpen(Tag::kDt, Tag::kDd));
-  EXPECT_TRUE(ClosesOnOpen(Tag::kOption, Tag::kOption));
-  EXPECT_FALSE(ClosesOnOpen(Tag::kDiv, Tag::kDiv));
-  EXPECT_FALSE(ClosesOnOpen(Tag::kP, Tag::kB));
-}
-
-TEST(TagTableTest, PathSymbolsDistinctForCommonTags) {
-  // The first ~60 registered tags must have pairwise distinct symbols.
-  EXPECT_NE(TagPathSymbol(Tag::kTable), TagPathSymbol(Tag::kTr));
-  EXPECT_NE(TagPathSymbol(Tag::kDiv), TagPathSymbol(Tag::kSpan));
-  EXPECT_NE(TagPathSymbol(Tag::kUl), TagPathSymbol(Tag::kLi));
-}
-
 }  // namespace
 }  // namespace thor::html

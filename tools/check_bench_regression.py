@@ -44,10 +44,27 @@ Third mode (--fleet): structural gate on the fleet-failover bench JSON
 Usage:
   bench_fleet_failover 2048 report.json
   check_bench_regression.py --fleet report.json
+
+Fourth mode (--scaling): in-process scaling gate on the threaded hot
+parse+locate bench (BM_ThreadedHotParseLocate, one extractor per thread).
+The aggregate items/s at T = min(cores, 4) threads must reach at least
+0.5 * T times the 1-thread rate, measured in the same process, so the
+ratio is host-independent where raw rates are not. A lock or other shared
+state on the parse path caps the ratio near 1x. Skipped (exit 0, reason
+printed) on a host with fewer than 2 cores, where there is no T > 1 run.
+
+Usage:
+  bench_micro --benchmark_filter='BM_ThreadedHotParseLocate' \
+      --benchmark_format=json > report.json
+  check_bench_regression.py --scaling report.json
 """
 
 import json
+import os
 import sys
+
+SCALING_BENCH = "BM_ThreadedHotParseLocate"
+SCALING_EFFICIENCY = 0.5
 
 
 def real_time(report, name):
@@ -163,11 +180,48 @@ def check_fleet(path):
     return 0
 
 
+def check_scaling(path):
+    """Exit code for the --scaling in-process scaling gate."""
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        print(f"SKIP: scaling gate needs >= 2 cores, this host has {cores}")
+        return 0
+    with open(path) as f:
+        report = json.load(f)
+    rates = {}
+    for bench in report.get("benchmarks", []):
+        if bench.get("name", "").startswith(SCALING_BENCH + "/"):
+            rates[int(bench["threads"])] = float(bench["items_per_second"])
+    if 1 not in rates:
+        raise SystemExit(f"error: {SCALING_BENCH} threads:1 missing")
+    threads = max(rates)
+    if threads < 2:
+        print(f"SKIP: report has no multi-thread {SCALING_BENCH} run")
+        return 0
+    need = SCALING_EFFICIENCY * threads * rates[1]
+    print(
+        f"hot parse+locate: 1 thread {rates[1]:.0f} items/s, "
+        f"{threads} threads {rates[threads]:.0f} items/s "
+        f"({rates[threads] / rates[1]:.2f}x, need "
+        f">= {SCALING_EFFICIENCY * threads:.2f}x)"
+    )
+    if rates[threads] < need:
+        print(
+            f"FAIL: {threads} threads reach {rates[threads]:.0f} items/s "
+            f"< {need:.0f}; the hot parse path does not scale with cores"
+        )
+        return 1
+    print("OK: hot parse path scales with cores")
+    return 0
+
+
 def main(argv):
     if len(argv) == 3 and argv[1] == "--serve-network":
         return check_serve_network(argv[2])
     if len(argv) == 3 and argv[1] == "--fleet":
         return check_fleet(argv[2])
+    if len(argv) == 3 and argv[1] == "--scaling":
+        return check_scaling(argv[2])
     if len(argv) != 3:
         raise SystemExit(__doc__)
     with open(argv[1]) as f:
