@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -132,7 +133,7 @@ int Main(int argc, char** argv) {
   bench::PrintRow("", {"store_load", bench::Fmt(load_s * per_site)});
 
   // --- throughput: template-hit path vs cold-relearn path --------------
-  auto run_workload = [&](int threads, bool cold, bool hot) -> RunStats {
+  auto run_workload = [&](int threads, bool cold) -> RunStats {
     fs::path dir = store_dir;
     if (cold) {
       // Cold path: empty store, every site relearned on first touch.
@@ -144,7 +145,6 @@ int Main(int argc, char** argv) {
     serve::ServiceOptions options;
     options.threads = threads;
     options.metrics = &metrics;
-    options.hot_path = hot;
     serve::ExtractionService::SampleProvider sampler;
     if (cold) {
       sampler = [&](const std::string& site) -> std::vector<core::Page> {
@@ -163,32 +163,25 @@ int Main(int argc, char** argv) {
     return stats;
   };
 
-  bench::PrintHeader(
-      "Serving throughput: pages/sec, hit (hot/legacy) vs cold-relearn");
-  bench::PrintRow("", {"threads", "path", "pipeline", "pages/s", "hit",
-                       "miss", "relearn"});
+  bench::PrintHeader("Serving throughput: pages/sec, hit vs cold-relearn");
+  bench::PrintRow("", {"threads", "path", "pages/s", "hit", "miss",
+                       "relearn"});
   struct Row {
     int threads;
     bool cold;
-    bool hot;
     RunStats stats;
   };
   std::vector<Row> rows;
   for (int threads : thread_counts) {
-    // Hit path under both pipelines (the hot:legacy ratio is the number
-    // this bench exists to defend), cold path under the default pipeline
-    // only (relearn dominates it; the pipeline flag is noise there).
-    for (auto [cold, hot] : {std::pair{false, true}, {false, false},
-                             {true, true}}) {
-      RunStats stats = run_workload(threads, cold, hot);
-      rows.push_back({threads, cold, hot, stats});
+    for (bool cold : {false, true}) {
+      RunStats stats = run_workload(threads, cold);
+      rows.push_back({threads, cold, stats});
       double pages_per_s =
           workload.requests.size() / std::max(stats.seconds, 1e-9);
       bench::PrintRow(
           "", {std::to_string(threads), cold ? "cold" : "hit",
-               hot ? "hot" : "legacy", bench::Fmt(pages_per_s, 1),
-               std::to_string(stats.hits), std::to_string(stats.misses),
-               std::to_string(stats.relearns)});
+               bench::Fmt(pages_per_s, 1), std::to_string(stats.hits),
+               std::to_string(stats.misses), std::to_string(stats.relearns)});
     }
   }
 
@@ -198,6 +191,7 @@ int Main(int argc, char** argv) {
   json.Key("num_sites").Int(num_sites);
   json.Key("requests").Int(static_cast<long long>(workload.requests.size()));
   json.Key("host_threads").Int(host_threads);
+  json.Key("nproc").Int(std::thread::hardware_concurrency());
   json.Key("stage_ms_per_site").BeginObject();
   json.Key("learn").Double(learn_s * per_site);
   json.Key("store_put").Double(put_s * per_site);
@@ -208,7 +202,6 @@ int Main(int argc, char** argv) {
     json.BeginObject();
     json.Key("threads").Int(row.threads);
     json.Key("path").String(row.cold ? "cold" : "hit");
-    json.Key("pipeline").String(row.hot ? "hot" : "legacy");
     json.Key("seconds").Double(row.stats.seconds);
     json.Key("pages_per_s")
         .Double(workload.requests.size() /

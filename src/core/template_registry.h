@@ -96,6 +96,11 @@ class TemplateRegistry {
     /// 0 on a miss. Exact-path matches are floored at 0.5: the path
     /// surviving verbatim is strong evidence even when the shape drifted.
     double Confidence() const;
+
+    /// The one confidence line of the serving stack: a hit below it counts
+    /// as low-confidence (serve.low_confidence, drift signal 0.5), and a
+    /// canary shadow extraction needs at least this much to count as a hit.
+    static constexpr double kLowConfidence = 0.35;
   };
   Located LocateDetailed(const html::TagTree& tree,
                          const TemplateApplyOptions& options = {}) const;

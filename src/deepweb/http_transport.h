@@ -14,7 +14,7 @@ namespace thor::deepweb {
 ///
 /// The socket-backed realization of the transport seam: Fetch(keyword)
 /// becomes `GET /site<K>/search?q=<keyword>` through a pooled HttpClient
-/// (keep-alive reuse, per-host in-flight caps, politeness pacing), and the
+/// (keep-alive reuse, per-host in-flight caps), and the
 /// response — served by net::SimSiteServer in tests — is reassembled into
 /// the same QueryResponse DirectTransport returns, bit for bit. Error
 /// mapping onto the transport taxonomy the resilient prober retries on:
@@ -28,8 +28,8 @@ namespace thor::deepweb {
 ///                                    not a connection error)
 ///
 /// Retries stay the prober's job; this class reports one attempt's truth.
-/// Thread-safe for concurrent Fetch calls (the pool serializes politeness
-/// per host).
+/// Thread-safe for concurrent Fetch calls (the pool caps in-flight
+/// requests per host).
 class HttpTransport : public SiteTransport {
  public:
   /// Probes site `site_id` at `host`:`port` through `client` (borrowed;

@@ -11,12 +11,15 @@ namespace thor::fleet {
 
 namespace {
 
+/// Concurrent forwards allowed per worker (HttpClient in-flight cap).
+constexpr int kMaxInFlightPerWorker = 32;
+
 net::HttpClientOptions ClientOptions(const RouterOptions& options,
-                                     Clock* clock) {
+                                     const Clock* clock) {
   net::HttpClientOptions client;
   client.connect_timeout_ms = options.connect_timeout_ms;
   client.request_timeout_ms = options.request_timeout_ms;
-  client.max_in_flight_per_host = options.max_in_flight_per_worker;
+  client.max_in_flight_per_host = kMaxInFlightPerWorker;
   client.clock = clock;
   client.metrics = options.metrics;
   return client;

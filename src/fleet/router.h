@@ -32,11 +32,9 @@ struct RouterOptions {
   /// HttpClient timeouts for worker requests.
   double connect_timeout_ms = 1000.0;
   double request_timeout_ms = 10000.0;
-  /// Concurrent forwards allowed per worker (HttpClient in-flight cap).
-  int max_in_flight_per_worker = 32;
   /// Threads for the per-batch forward fan-out (0 = process default).
   int threads = 0;
-  Clock* clock = nullptr;                ///< null = wall clock
+  const Clock* clock = nullptr;          ///< null = wall clock
   MetricsRegistry* metrics = nullptr;    ///< optional fleet.* sink
 };
 
@@ -112,7 +110,7 @@ class Router {
   HashRing ring_;
   std::vector<std::vector<Endpoint>> shards_;
   RouterOptions options_;
-  Clock* clock_;
+  const Clock* clock_;
   net::HttpClient client_;
 
   mutable std::mutex mu_;

@@ -423,8 +423,7 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   // check does not matter: both return without side effects).
   if (last_raw_text_node_ != kInvalidNode && Top() == last_raw_text_node_) {
     TagId tag = tree_.node(Top()).tag;
-    if ((tag == Tag::kScript || tag == Tag::kStyle) &&
-        !options_.keep_script_text) {
+    if (tag == Tag::kScript || tag == Tag::kStyle) {
       return;  // drop code, keep the tag node
     }
   }

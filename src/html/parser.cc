@@ -154,8 +154,7 @@ class TreeBuilder {
     if (last_raw_text_node_ != kInvalidNode &&
         Top() == last_raw_text_node_) {
       TagId tag = tree_.node(Top()).tag;
-      if ((tag == Tag::kScript || tag == Tag::kStyle) &&
-          !options_.keep_script_text) {
+      if (tag == Tag::kScript || tag == Tag::kStyle) {
         return;  // drop code, keep the tag node
       }
     }

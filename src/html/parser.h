@@ -8,12 +8,10 @@
 
 namespace thor::html {
 
-/// Knobs for the tree builder.
+/// Knobs for the tree builder. The raw text of <script>/<style> is always
+/// dropped (the tag node stays): the paper's content signatures measure
+/// visible terms, and scripts/styles would pollute them.
 struct ParseOptions {
-  /// Keep the raw text of <script>/<style> as content nodes. Off by
-  /// default: the paper's content signatures measure visible terms, and
-  /// scripts/styles would pollute them.
-  bool keep_script_text = false;
   /// Hard cap on tree size to bound adversarial inputs; further markup is
   /// dropped (0 = unlimited).
   int max_nodes = 0;

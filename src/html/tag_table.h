@@ -176,8 +176,7 @@ bool ClosesOnOpen(TagId open_tag, TagId incoming);
 /// from a mismatched end tag (table cells close at table boundaries, etc.).
 bool IsScopeBoundary(TagId id);
 
-/// True for inline formatting elements (b, i, font, span, ...). Used by the
-/// tidy normalizer and by site synthesis.
+/// True for inline formatting elements (b, i, font, span, ...).
 bool IsInlineTag(TagId id);
 
 }  // namespace thor::html

@@ -56,7 +56,7 @@ void TagTree::FinalizeDerived() {
   }
   for (size_t i = nodes_.size(); i-- > 1;) {
     const Node& n = nodes_[i];
-    if (n.parent == kInvalidNode) continue;  // detached (e.g. by Tidy)
+    if (n.parent == kInvalidNode) continue;  // detached: no parent to feed
     Node& p = nodes_[static_cast<size_t>(n.parent)];
     p.subtree_size += n.subtree_size;
     p.content_length += n.content_length;

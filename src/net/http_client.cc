@@ -42,30 +42,14 @@ Result<HttpResponse> HttpClient::Issue(const std::string& host,
                                        IssueInfo* info) {
   if (info != nullptr) *info = IssueInfo{};
   const std::string key = HostKey(host, port);
-  // Admission: an in-flight slot, then the politeness spacing. Both are
-  // per-host, so hammering one host cannot starve requests to another.
+  // Admission: an in-flight slot. It is per-host, so hammering one host
+  // cannot starve requests to another.
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] {
       return hosts_[key].in_flight < options_.max_in_flight_per_host;
     });
     ++hosts_[key].in_flight;
-  }
-  if (options_.min_delay_ms > 0.0) {
-    for (;;) {
-      double wait_ms = 0.0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        HostState& state = hosts_[key];
-        const double now = clock_->NowMs();
-        wait_ms = state.last_start_ms + options_.min_delay_ms - now;
-        if (wait_ms <= 0.0) {
-          state.last_start_ms = now;
-          break;
-        }
-      }
-      clock_->SleepMs(wait_ms);
-    }
   }
 
   Deadline deadline = Deadline::After(clock_, options_.request_timeout_ms);
@@ -124,9 +108,6 @@ Result<HttpResponse> HttpClient::Issue(const std::string& host,
     --state.in_flight;
     if (keep && state.idle.size() < options_.max_idle_per_host) {
       state.idle.push_back(std::move(sock));
-    }
-    if (options_.min_delay_ms <= 0.0) {
-      state.last_start_ms = clock_->NowMs();
     }
   }
   cv_.notify_all();

@@ -26,13 +26,8 @@ struct HttpClientOptions {
   /// Politeness: concurrent in-flight requests allowed per host:port.
   /// Excess callers block until a slot frees.
   int max_in_flight_per_host = 4;
-  /// Politeness: minimum spacing between request starts to one host:port
-  /// (0 = none). Enforced on `clock`, so simulated-clock tests can assert
-  /// the pacing without real sleeps.
-  double min_delay_ms = 0.0;
-  /// Time source for deadlines and pacing (null = wall clock). Non-const
-  /// because politeness pacing sleeps on it.
-  Clock* clock = nullptr;
+  /// Time source for deadlines (null = wall clock).
+  const Clock* clock = nullptr;
   /// Optional sink for net.client.* counters.
   MetricsRegistry* metrics = nullptr;
 };
@@ -40,13 +35,13 @@ struct HttpClientOptions {
 /// \brief Blocking HTTP/1.1 client with per-host connection pooling.
 ///
 /// The crawler-side counterpart of NetServer: HttpTransport issues every
-/// probe query through one of these, so pooling (keep-alive reuse), the
-/// per-host in-flight cap, and the politeness delay sit below the
-/// resilient prober's retry loop — the prober decides *whether* to retry,
-/// the client decides *how fast* a host may be hit at all.
+/// probe query through one of these, so pooling (keep-alive reuse) and the
+/// per-host in-flight cap sit below the resilient prober's retry loop —
+/// the prober decides *whether* to retry, the client decides how many
+/// requests a host may have in flight at all.
 ///
 /// Thread-safe: concurrent requests to the same host share the pool and
-/// are paced together. Socket-level failures and deadline expiry are
+/// its in-flight cap. Socket-level failures and deadline expiry are
 /// Status errors; HTTP error statuses are successful Results (the caller
 /// maps status codes to its own error taxonomy). A request that dies on a
 /// pooled (possibly stale) connection before reading any response byte is
@@ -84,7 +79,6 @@ class HttpClient {
   struct HostState {
     std::vector<Socket> idle;
     int in_flight = 0;
-    double last_start_ms = -1e18;  ///< last request start on this host
   };
 
   Result<HttpResponse> Issue(const std::string& host, uint16_t port,
@@ -97,7 +91,7 @@ class HttpClient {
                                const Deadline& deadline, bool* started);
 
   HttpClientOptions options_;
-  Clock* clock_;
+  const Clock* clock_;
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -30,6 +30,14 @@ int StatusForResponse(const serve::ServerLoop::Response& response) {
 
 constexpr const char* kJsonType = "application/json";
 
+/// Connections beyond this are accepted and closed at once
+/// (net.accept_over_capacity).
+constexpr size_t kMaxConnections = 1024;
+/// Stop reading from a connection whose unsent responses exceed this —
+/// per-connection backpressure so one slow reader cannot buffer without
+/// bound. Reading resumes when the outbox drains below the mark.
+constexpr size_t kMaxOutboxBytes = 8u << 20;
+
 }  // namespace
 
 NetServer::NetServer(serve::ServerLoop* loop, NetServerOptions options)
@@ -43,7 +51,7 @@ NetServer::~NetServer() { Shutdown(0.0); }
 
 Result<uint16_t> NetServer::Start() {
   THOR_RETURN_IF_ERROR(event_loop_.Init());
-  auto listener = ListenTcp(options_.port, options_.backlog);
+  auto listener = ListenTcp(options_.port);
   THOR_RETURN_IF_ERROR(listener.status());
   listener_ = std::move(*listener);
   auto port = LocalPort(listener_);
@@ -79,7 +87,7 @@ void NetServer::OnAcceptReady() {
       AddCounter(metrics_, "net.accept_failures");
       continue;  // the injected failure costs this connection only
     }
-    if (conns_.size() >= options_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       AddCounter(metrics_, "net.accept_over_capacity");
       continue;
     }
@@ -148,8 +156,7 @@ void NetServer::HandleRead(Conn& conn) {
       }
       submitted = true;  // descriptors may have been queued either way
       if (!alive || conns_.find(id) == conns_.end()) break;
-      if (conn.outbox.size() - conn.outbox_offset >
-          options_.max_outbox_bytes) {
+      if (conn.outbox.size() - conn.outbox_offset > kMaxOutboxBytes) {
         conn.paused = true;
         SetInterest(conn, conn.interest & ~Ready::kRead);
         break;
@@ -438,7 +445,7 @@ void NetServer::DeliverOnLoop(uint64_t tag, const std::string& site,
   }
   if (!pending.keep_alive) StopReading(conn);
   if (!conn.paused && !conn.read_eof &&
-      conn.outbox.size() - conn.outbox_offset > options_.max_outbox_bytes) {
+      conn.outbox.size() - conn.outbox_offset > kMaxOutboxBytes) {
     conn.paused = true;
     SetInterest(conn, conn.interest & ~Ready::kRead);
   }

@@ -25,8 +25,6 @@ namespace thor::net {
 /// Tuning knobs for the TCP/HTTP front-end.
 struct NetServerOptions {
   uint16_t port = 0;       ///< 0 = ephemeral; Start() returns the bound port
-  int backlog = 128;
-  size_t max_connections = 1024;
   /// Close a connection with no in-flight requests after this long without
   /// traffic. 0 disables the idle reaper.
   double idle_timeout_ms = 60000.0;
@@ -36,10 +34,6 @@ struct NetServerOptions {
   double request_timeout_ms = 0.0;
   /// Per-message bounds; max_line_bytes doubles as the NDJSON line cap.
   WireLimits limits;
-  /// Stop reading from a connection whose unsent responses exceed this —
-  /// per-connection backpressure so one slow reader cannot buffer without
-  /// bound. Reading resumes when the outbox drains below the mark.
-  size_t max_outbox_bytes = 8u << 20;
   /// Time source for idle/request timeouts (null = wall clock).
   const Clock* clock = nullptr;
   /// Optional sink for net.* counters and the net.connections gauge.

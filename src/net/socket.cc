@@ -114,7 +114,8 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-Result<Socket> ListenTcp(uint16_t port, int backlog) {
+Result<Socket> ListenTcp(uint16_t port) {
+  constexpr int kBacklog = 128;
   IgnoreSigPipe();
   Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
   if (!socket.valid()) {
@@ -131,7 +132,7 @@ Result<Socket> ListenTcp(uint16_t port, int backlog) {
       0) {
     return Status::Internal(std::string("bind: ") + std::strerror(errno));
   }
-  if (::listen(socket.fd(), backlog) < 0) {
+  if (::listen(socket.fd(), kBacklog) < 0) {
     return Status::Internal(std::string("listen: ") + std::strerror(errno));
   }
   THOR_RETURN_IF_ERROR(SetNonBlocking(socket.fd()));

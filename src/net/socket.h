@@ -88,8 +88,9 @@ void SetNoDelay(int fd);
 
 /// Opens a non-blocking loopback TCP listener on `port` (0 = ephemeral;
 /// read the bound port back with LocalPort). SO_REUSEADDR set, TCP_NODELAY
-/// inherited by accepted sockets via ListenTcp callers.
-Result<Socket> ListenTcp(uint16_t port, int backlog = 128);
+/// inherited by accepted sockets via ListenTcp callers. The listen(2)
+/// backlog is 128.
+Result<Socket> ListenTcp(uint16_t port);
 
 /// Port a bound socket actually listens on.
 Result<uint16_t> LocalPort(const Socket& socket);

@@ -3,11 +3,23 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/object_partition.h"
 #include "src/util/failpoint.h"
 #include "src/util/parallel.h"
 
 namespace thor::serve {
+
+namespace {
+
+/// Drift detector (see SiteStats::drift_ewma): EWMA weight of the newest
+/// request, and the lines where a site turns kDrifting and kBroken.
+constexpr double kDriftAlpha = 0.1;
+constexpr double kDriftWarn = 0.35;
+constexpr double kDriftBroken = 0.8;
+
+constexpr double kLowConfidence =
+    core::TemplateRegistry::Located::kLowConfidence;
+
+}  // namespace
 
 const char* DriftStateName(DriftState state) {
   switch (state) {
@@ -48,12 +60,8 @@ ExtractionService::ExtractionService(TemplateStore* store,
                                        : SystemClock::Instance()) {}
 
 ExtractionService::CachedSite ExtractionService::MakeCachedSite(
-    core::TemplateRegistry registry, int64_t generation) const {
-  CachedSite cached{std::move(registry), generation, {}};
-  if (options_.hot_path) {
-    cached.compiled = core::CompiledTemplates::Compile(cached.registry);
-  }
-  return cached;
+    const core::TemplateRegistry& registry, int64_t generation) {
+  return CachedSite{generation, core::CompiledTemplates::Compile(registry)};
 }
 
 ExtractionService::SiteHandle ExtractionService::Resolve(
@@ -70,8 +78,8 @@ ExtractionService::SiteHandle ExtractionService::Resolve(
     }
     return nullptr;
   }
-  return cache_.Put(site, MakeCachedSite(std::move(loaded->registry),
-                                         loaded->generation));
+  return cache_.Put(site,
+                    MakeCachedSite(loaded->registry, loaded->generation));
 }
 
 ExtractionService::Response ExtractionService::ExtractAgainst(
@@ -79,31 +87,17 @@ ExtractionService::Response ExtractionService::ExtractAgainst(
   Response response;
   if (site_handle == nullptr) return response;  // kMiss, generation 0
   response.generation = site_handle->generation;
-  if (options_.hot_path) {
-    // One extractor per worker thread: its arena, parser, and scratch
-    // buffers persist across requests *and* across batches (the parallel
-    // pool's threads are long-lived), so the steady state allocates
-    // nothing on the request path.
-    static thread_local core::HotExtractor extractor;
-    auto result = extractor.Extract(request.html, site_handle->compiled,
-                                    options_.apply, options_.objects);
-    if (!result.hit) return response;  // kMiss
-    response.source = Source::kTemplate;
-    response.confidence = result.located.Confidence();
-    response.pagelet_path = std::move(result.pagelet_path);
-    response.objects = std::move(result.objects);
-    return response;
-  }
-  core::Page page = core::Page::Parse(request.site, request.html);
-  auto located =
-      site_handle->registry.LocateDetailed(page.tree, options_.apply);
-  if (located.node == html::kInvalidNode) return response;  // kMiss
+  // One extractor per worker thread: its arena, parser, and scratch
+  // buffers persist across requests *and* across batches (the parallel
+  // pool's threads are long-lived), so the steady state allocates nothing
+  // on the request path.
+  static thread_local core::HotExtractor extractor;
+  auto result = extractor.Extract(request.html, site_handle->compiled);
+  if (!result.hit) return response;  // kMiss
   response.source = Source::kTemplate;
-  response.confidence = located.Confidence();
-  response.pagelet_path = page.tree.PathString(located.node);
-  auto spans = core::PartitionObjects(page.tree, located.node, {},
-                                      options_.objects);
-  response.objects = core::ObjectTexts(page.tree, spans);
+  response.confidence = result.located.Confidence();
+  response.pagelet_path = std::move(result.pagelet_path);
+  response.objects = std::move(result.objects);
   return response;
 }
 
@@ -139,16 +133,15 @@ void ExtractionService::UpdateDrift(SiteStats& stats,
   double signal = 0.0;
   if (response.source != Source::kTemplate) {
     signal = 1.0;
-  } else if (response.confidence < options_.low_confidence) {
+  } else if (response.confidence < kLowConfidence) {
     signal = 0.5;
   }
   stats.drift_ewma =
-      (1.0 - options_.drift_alpha) * stats.drift_ewma +
-      options_.drift_alpha * signal;
+      (1.0 - kDriftAlpha) * stats.drift_ewma + kDriftAlpha * signal;
   DriftState next = DriftState::kHealthy;
-  if (stats.drift_ewma >= options_.drift_broken) {
+  if (stats.drift_ewma >= kDriftBroken) {
     next = DriftState::kBroken;
-  } else if (stats.drift_ewma >= options_.drift_warn) {
+  } else if (stats.drift_ewma >= kDriftWarn) {
     next = DriftState::kDrifting;
   }
   if (next == stats.drift) return;
@@ -186,7 +179,7 @@ ExtractionService::SiteHandle ExtractionService::Relearn(
   }
   std::vector<core::Page> pages = sampler_(site);
   if (pages.empty()) return nullptr;
-  core::ThorOptions relearn_options = options_.relearn;
+  core::ThorOptions relearn_options;
   relearn_options.deadline = deadline;
   auto result = core::RunThor(pages, relearn_options);
   if (!result.ok()) {
@@ -215,7 +208,7 @@ ExtractionService::SiteHandle ExtractionService::Relearn(
   } else {
     AddCounter(options_.metrics, "serve.store_errors");
   }
-  return cache_.Put(site, MakeCachedSite(std::move(registry), generation));
+  return cache_.Put(site, MakeCachedSite(registry, generation));
 }
 
 ExtractionService::Response ExtractionService::Extract(
@@ -226,17 +219,13 @@ ExtractionService::Response ExtractionService::Extract(
 std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
     const std::vector<Request>& requests, const Deadline& deadline) {
   // Pass 0: ticketed relearn rendezvous. Batch T adopts every background
-  // relearn enqueued at batch <= T - relearn_sync_batches before it
-  // resolves anything, which pins the batch a fresh generation first
-  // serves from to a position in the request stream — identical at every
-  // thread count. Runs without mu_ held: workers finishing jobs only need
-  // the manager's own lock.
+  // relearn enqueued at batch <= T - 1 before it resolves anything, which
+  // pins the batch a fresh generation first serves from to a position in
+  // the request stream — identical at every thread count. Runs without
+  // mu_ held: workers finishing jobs only need the manager's own lock.
   uint64_t ticket = batch_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (options_.relearn_manager != nullptr) {
-    uint64_t lag = static_cast<uint64_t>(
-        std::max(options_.relearn_sync_batches, 0));
-    uint64_t bound = ticket > lag ? ticket - lag : 0;
-    auto ready = options_.relearn_manager->TakeReady(bound, deadline);
+    auto ready = options_.relearn_manager->TakeReady(ticket - 1, deadline);
     if (!ready.empty()) {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& finished : ready) {
@@ -245,8 +234,7 @@ std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
           ++stats_[finished.site].relearns;
         }
         cache_.Put(finished.site,
-                   MakeCachedSite(std::move(finished.registry),
-                                  finished.generation));
+                   MakeCachedSite(finished.registry, finished.generation));
       }
     }
   }
@@ -344,7 +332,7 @@ std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
     if (response.source == Source::kTemplate) {
       ++stats.hits;
       AddCounter(options_.metrics, "serve.template_hit");
-      if (response.confidence < options_.low_confidence) {
+      if (response.confidence < kLowConfidence) {
         ++stats.low_confidence;
         AddCounter(options_.metrics, "serve.low_confidence");
       }

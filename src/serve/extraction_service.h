@@ -24,7 +24,7 @@
 namespace thor::serve {
 
 /// Per-site template-health classification derived from the serving
-/// signal (see ServiceOptions::drift_*). Healthy sites serve as usual;
+/// signal (see SiteStats::drift_ewma). Healthy sites serve as usual;
 /// drifting/broken sites relearn eagerly in the background.
 enum class DriftState { kHealthy = 0, kDrifting = 1, kBroken = 2 };
 const char* DriftStateName(DriftState state);
@@ -41,14 +41,6 @@ struct ServiceOptions {
   /// instead of relearn-thrashing.
   int relearn_min_requests = 20;
   double relearn_miss_rate = 0.5;
-  /// Responses whose confidence lands below this count as low-confidence
-  /// in the per-site accounting (early staleness signal).
-  double low_confidence = 0.35;
-  /// Template application / Stage-3 partitioning knobs.
-  core::TemplateApplyOptions apply;
-  core::ObjectPartitionOptions objects;
-  /// Pipeline configuration used for relearns.
-  core::ThorOptions relearn;
   /// Upper bound on one relearn's full pipeline run, in milliseconds on
   /// `clock` (0 = unbounded). A relearn that overruns aborts with a typed
   /// kDeadlineExceeded — no generation is committed, `serve.relearns` and
@@ -59,12 +51,6 @@ struct ServiceOptions {
   /// serial). Responses are index-addressed, so output is identical at
   /// every thread count.
   int threads = 0;
-  /// Serve with the arena hot path (core::HotExtractor over compiled
-  /// templates) instead of the legacy Page::Parse + LocateDetailed
-  /// pipeline. Results are bit-identical either way — that is the
-  /// differential harness's contract — so this exists as an escape hatch
-  /// and for A/B benches, not as a behavior switch.
-  bool hot_path = true;
   /// Optional sinks: serve.* counters and the serve.latency_ms histogram.
   MetricsRegistry* metrics = nullptr;
   /// Time source for the latency histogram (null = wall clock). Tests use
@@ -74,23 +60,12 @@ struct ServiceOptions {
   /// request path never runs the pipeline inline — relearn decisions only
   /// *enqueue* jobs on the manager, misses stand in the emitting batch,
   /// and promoted generations are adopted at the ticketed rendezvous at
-  /// the start of a later batch (see relearn_sync_batches). Null keeps the
-  /// synchronous PR-4 behavior (each inline relearn then counts one
+  /// the start of the next batch: batch T blocks until all jobs enqueued
+  /// at batches <= T - 1 are finished, so a generation relearned during
+  /// batch N serves exactly from batch N+1 at every thread count. Null
+  /// keeps the synchronous behavior (each inline relearn then counts one
   /// `serve.relearn_stalls`).
   RelearnManager* relearn_manager = nullptr;
-  /// Adoption lag of the rendezvous, in batches: batch T blocks until all
-  /// jobs enqueued at batches <= T - relearn_sync_batches are finished and
-  /// adopts their promoted generations before resolving. Depth 1 means a
-  /// generation relearned during batch N serves exactly from batch N+1 —
-  /// at every thread count.
-  int relearn_sync_batches = 1;
-  /// Drift detector: per-request EWMA over the serving signal (miss = 1,
-  /// low-confidence hit = 0.5, confident hit = 0). A site is kDrifting at
-  /// `drift_warn`, kBroken at `drift_broken`; with alpha 0.1 roughly five
-  /// consecutive misses take a healthy site past the warn line.
-  double drift_alpha = 0.1;
-  double drift_warn = 0.35;
-  double drift_broken = 0.8;
 };
 
 /// \brief Long-lived multi-site extraction front end over a TemplateStore.
@@ -172,8 +147,10 @@ class ExtractionService {
     int64_t relearn_attempts = 0; ///< relearns tried (failures included)
     int window_requests = 0;      ///< requests since the last relearn window
     int window_misses = 0;
-    /// Drift detector state: EWMA of the serving signal and the resulting
-    /// classification (see ServiceOptions::drift_*).
+    /// Drift detector: per-request EWMA (alpha 0.1) over the serving
+    /// signal (miss = 1, low-confidence hit = 0.5, confident hit = 0) and
+    /// the resulting classification: kDrifting from 0.35, kBroken from
+    /// 0.8. Five consecutive misses take a healthy site past the warn line.
     double drift_ewma = 0.0;
     DriftState drift = DriftState::kHealthy;
   };
@@ -191,26 +168,26 @@ class ExtractionService {
   TemplateStore* store() { return store_; }
 
  private:
-  /// A site's registry as resident in the cache. The compiled form is
-  /// built once here (per load/relearn/adoption) and then shared
-  /// read-only by every worker thread's HotExtractor.
+  /// A site's templates as resident in the cache. The compiled form is
+  /// built once (per load/relearn/adoption) and then shared read-only by
+  /// every worker thread's HotExtractor.
   struct CachedSite {
-    core::TemplateRegistry registry;
     int64_t generation = 0;
     core::CompiledTemplates compiled;
   };
   using SiteHandle = std::shared_ptr<const CachedSite>;
 
-  /// Builds a cache entry, compiling the hot-path form when enabled.
-  CachedSite MakeCachedSite(core::TemplateRegistry registry,
-                            int64_t generation) const;
+  /// Compiles `registry` into a cache entry.
+  static CachedSite MakeCachedSite(const core::TemplateRegistry& registry,
+                                   int64_t generation);
 
   /// Loads `site` through cache → store. Null when the store has nothing
   /// (or the stored bytes are corrupt — degradation, not failure).
   SiteHandle Resolve(const std::string& site);
 
-  /// Pure per-request work: parse + locate + partition against `site`'s
-  /// registry (null → miss). Safe to run concurrently.
+  /// Pure per-request work: one HotExtractor pass (parse + locate +
+  /// partition) against `site`'s compiled templates (null → miss). Safe to
+  /// run concurrently.
   Response ExtractAgainst(const SiteHandle& site_handle,
                           const Request& request) const;
 

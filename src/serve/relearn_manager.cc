@@ -4,10 +4,33 @@
 #include <chrono>
 #include <utility>
 
+#include "src/core/hot_extractor.h"
 #include "src/util/failpoint.h"
 #include "src/util/parallel.h"
 
 namespace thor::serve {
+
+namespace {
+
+/// Shadow-extracts `registry` over `sample` with the serving engine;
+/// returns the number of pages located with confidence >= kLowConfidence
+/// (a miss has confidence 0).
+int ScoreSample(core::HotExtractor& extractor,
+                const core::TemplateRegistry& registry,
+                const std::vector<std::string>& sample) {
+  core::CompiledTemplates compiled = core::CompiledTemplates::Compile(registry);
+  int hits = 0;
+  for (const std::string& html : sample) {
+    auto located = extractor.Locate(extractor.Parse(html), compiled);
+    if (located.Confidence() >=
+        core::TemplateRegistry::Located::kLowConfidence) {
+      ++hits;
+    }
+  }
+  return hits;
+}
+
+}  // namespace
 
 RelearnManager::RelearnManager(TemplateStore* store,
                                RelearnManagerOptions options,
@@ -102,21 +125,6 @@ void RelearnManager::DrainLoop() {
   }
 }
 
-int RelearnManager::ScoreSample(const core::TemplateRegistry& registry,
-                                const std::string& site,
-                                const std::vector<std::string>& sample) const {
-  int hits = 0;
-  for (const std::string& html : sample) {
-    core::Page page = core::Page::Parse(site, html);
-    auto located = registry.LocateDetailed(page.tree, options_.apply);
-    if (located.node != html::kInvalidNode &&
-        located.Confidence() >= options_.min_confidence) {
-      ++hits;
-    }
-  }
-  return hits;
-}
-
 RelearnManager::Completed RelearnManager::RunJob(Job job) {
   Completed result;
   result.site = job.site;
@@ -144,7 +152,7 @@ RelearnManager::Completed RelearnManager::RunJob(Job job) {
   }
   std::vector<core::Page> pages = sampler_(job.site, job.ticket);
   if (pages.empty()) return finish();
-  core::ThorOptions relearn_options = options_.relearn;
+  core::ThorOptions relearn_options;
   relearn_options.deadline = deadline;
   auto analysis = core::RunThor(pages, relearn_options);
   if (!analysis.ok()) {
@@ -164,11 +172,12 @@ RelearnManager::Completed RelearnManager::RunJob(Job job) {
   bool poisoned = !THOR_FAILPOINT("canary.poison").ok();
   bool promote = !poisoned;
   if (promote && !job.sample.empty()) {
-    int canary_hits = ScoreSample(registry, job.site, job.sample);
+    core::HotExtractor extractor;
+    int canary_hits = ScoreSample(extractor, registry, job.sample);
     int live_hits = 0;
     auto live = store_->Load(job.site);
     if (live.ok()) {
-      live_hits = ScoreSample(live->registry, job.site, job.sample);
+      live_hits = ScoreSample(extractor, live->registry, job.sample);
     }
     promote = canary_hits >= options_.canary_floor * live_hits - 1e-9;
   }

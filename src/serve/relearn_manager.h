@@ -39,17 +39,10 @@ struct RelearnManagerOptions {
   /// what the committed generation locates. A relative floor keeps sites
   /// whose recent traffic is mostly no-match pages promotable.
   double canary_floor = 0.9;
-  /// Confidence at or above which a shadow extraction counts as a hit.
-  double min_confidence = 0.35;
   /// Budget for one background relearn, in milliseconds on `clock`
   /// (0 = unbounded), measured from job start. An overrun aborts with
   /// kDeadlineExceeded and commits nothing (PR-5 relearn semantics).
   double relearn_deadline_ms = 0.0;
-  /// Pipeline configuration used for relearns.
-  core::ThorOptions relearn;
-  /// Locate options used when scoring canary vs live on the shadow sample
-  /// (should match the serving path's apply options).
-  core::TemplateApplyOptions apply;
   /// Optional sinks: serve.relearn_* counters, serve.relearn_queue_depth,
   /// serve.canary.* counters, serve.relearn_latency_ms histogram.
   MetricsRegistry* metrics = nullptr;
@@ -65,8 +58,11 @@ struct RelearnManagerOptions {
 /// run. ExtractBatch only *enqueues* relearn work here (deduplicated per
 /// site, bounded, shed-oldest under overload); jobs drain on util/parallel
 /// workers. Each finished relearn is *canaried* before it can serve: the
-/// fresh registry is shadow-extracted against a ring buffer of the site's
-/// recent pages and compared with the committed (live) generation. Only a
+/// fresh registry is compiled and shadow-extracted with the serving path's
+/// HotExtractor against a ring buffer of the site's recent pages, and
+/// compared with the committed (live) generation scored the same way. A
+/// shadow page counts as a hit at confidence >= Located::kLowConfidence.
+/// Only a
 /// canary meeting the quality floor is committed to the TemplateStore (the
 /// store's atomic temp+rename commit); a failing canary is auto-rolled-back
 /// — the superseded generation keeps serving and `serve.canary.rollbacks`
@@ -163,11 +159,6 @@ class RelearnManager {
   /// manager stops.
   void DrainLoop();
   Completed RunJob(Job job);
-  /// Shadow-extracts `registry` over `sample`; returns the number of pages
-  /// located with confidence >= min_confidence.
-  int ScoreSample(const core::TemplateRegistry& registry,
-                  const std::string& site,
-                  const std::vector<std::string>& sample) const;
 
   TemplateStore* store_;
   RelearnManagerOptions options_;

@@ -1,5 +1,6 @@
 #include "src/serve/extraction_service.h"
 
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -145,6 +146,86 @@ TEST(ExtractionServiceTest, UnknownSiteWithoutSamplerIsAMissNotAFailure) {
   EXPECT_EQ(response.generation, 0);
   EXPECT_TRUE(response.pagelet_path.empty());
   EXPECT_EQ(metrics.Snapshot().counters["serve.template_miss"], 1);
+}
+
+// Drift detector: every miss feeds 1.0 into an EWMA with alpha 0.1, so
+// after n misses it reads 1 - 0.9^n. The warn line (0.35) is first crossed
+// at miss 5 (0.41) and the broken line (0.8) at miss 16 (0.815); each
+// crossing is one serve.drift.events and moves the per-state gauges.
+TEST(ExtractionServiceTest, DriftDetectorWalksHealthyDriftingBroken) {
+  auto store = TemplateStore::Open(FreshDir("drift"));
+  ASSERT_TRUE(store.ok());
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.metrics = &metrics;
+  ExtractionService service(&*store, options);  // no sampler: all misses
+
+  for (int miss = 1; miss <= 20; ++miss) {
+    auto response =
+        service.Extract({"nosuch", "<html><body>x</body></html>"});
+    ASSERT_EQ(response.source, ExtractionService::Source::kMiss);
+    auto stats = service.StatsFor("nosuch");
+    double expected = 1.0 - std::pow(0.9, miss);
+    EXPECT_NEAR(stats.drift_ewma, expected, 1e-12) << "miss " << miss;
+    DriftState state = miss < 5    ? DriftState::kHealthy
+                       : miss < 16 ? DriftState::kDrifting
+                                   : DriftState::kBroken;
+    EXPECT_EQ(stats.drift, state) << "miss " << miss;
+    auto snapshot = metrics.Snapshot();
+    EXPECT_EQ(snapshot.counters["serve.drift.events"],
+              miss < 5 ? 0 : (miss < 16 ? 1 : 2))
+        << "miss " << miss;
+    if (miss >= 5) {
+      EXPECT_EQ(snapshot.gauges["serve.drift.drifting_sites"],
+                state == DriftState::kDrifting ? 1.0 : 0.0);
+      EXPECT_EQ(snapshot.gauges["serve.drift.broken_sites"],
+                state == DriftState::kBroken ? 1.0 : 0.0);
+    }
+  }
+  auto snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.counters["serve.template_miss"], 20);
+  // Misses are not low-confidence hits.
+  EXPECT_EQ(snapshot.counters.count("serve.low_confidence"), 0u);
+  EXPECT_EQ(service.StatsFor("nosuch").low_confidence, 0);
+}
+
+// serve.low_confidence counts exactly the template hits whose confidence
+// lands below the 0.35 line, and StatsFor agrees with it. Site 4 of this
+// drifting fleet, learned at epoch 7 and served at epochs 6 and 7,
+// supplies hits on both sides of the line.
+TEST(ExtractionServiceTest, LowConfidenceCountsHitsBelowTheLine) {
+  deepweb::FleetOptions fleet_options;
+  fleet_options.num_sites = 6;
+  fleet_options.drift.seed = 2026;
+  SiteWorld world{deepweb::GenerateSiteFleet(fleet_options), {}};
+  deepweb::SetFleetEpoch(&world.fleet, 7);
+  auto pages = world.Sample(4);
+  auto result = core::RunThor(pages, core::ThorOptions{});
+  ASSERT_TRUE(result.ok());
+  auto store = TemplateStore::Open(FreshDir("low_confidence"));
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(
+      store->Put("site4", core::TemplateRegistry::Learn(pages, *result)).ok());
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.metrics = &metrics;
+  ExtractionService service(&*store, options);
+
+  int64_t hits = 0;
+  int64_t low = 0;
+  for (int epoch : {6, 7}) {
+    deepweb::SetFleetEpoch(&world.fleet, epoch);
+    for (const auto& response :
+         service.ExtractBatch(world.FreshRequests(4, "site4"))) {
+      if (response.source != ExtractionService::Source::kTemplate) continue;
+      ++hits;
+      if (response.confidence < 0.35) ++low;
+    }
+  }
+  EXPECT_GT(low, 0);
+  EXPECT_LT(low, hits);
+  EXPECT_EQ(metrics.Snapshot().counters["serve.low_confidence"], low);
+  EXPECT_EQ(service.StatsFor("site4").low_confidence, low);
 }
 
 TEST(ExtractionServiceTest, InvalidSiteNameIsRejectedWithoutState) {

@@ -1,11 +1,13 @@
 // Differential harness for the extraction hot path: the arena pipeline
 // (HotParser / HotExtractor / CompiledTemplates) must be *bit-identical*
-// to the legacy pipeline (ParseHtml / TagCountVector / LocateDetailed /
-// PartitionObjects) on every page a deepweb fleet can produce — fresh
-// answer pages, no-match pages, and three template-drift epochs.
+// to the reference composition (ParseHtml / TagCountVector /
+// LocateDetailed / PartitionObjects) on every page a deepweb fleet can
+// produce — fresh answer pages, no-match pages, and three template-drift
+// epochs.
 //
-// This is the contract that lets the serving layer switch pipelines by a
-// flag: any observable divergence is a bug in the hot path, full stop.
+// The hot path is the only serving path and the reference composition is
+// what learning runs on, so any observable divergence is a bug in the hot
+// path, full stop.
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -260,21 +262,21 @@ TEST(HotPathDiffTest, ExtractionOutputIdenticalToLegacyPipeline) {
   }
 }
 
-// Service-level closure: a hot-path service and a legacy service backed by
-// the same store must emit byte-identical response streams, at 1 and 4
-// worker threads, across drift epochs. This is the flag-flip guarantee the
-// serving layer relies on.
+// Service-level closure: the service's response stream, at 1 and 4
+// worker threads, must be byte-identical to a stream built directly from
+// the reference composition over the same store, across drift epochs.
 TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
   namespace fs = std::filesystem;
+  using Response = serve::ExtractionService::Response;
   DiffWorld world = DiffWorld::Make();
   fs::path dir = fs::path(::testing::TempDir()) / "thor_hotpath_diff";
   fs::remove_all(dir);
   auto store = serve::TemplateStore::Open(dir.string());
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(store->Put("site0", world.registry).ok());
+  const int64_t generation = store->Generation("site0");
 
-  auto serialize = [](const std::vector<serve::ExtractionService::Response>&
-                          responses) {
+  auto serialize = [](const std::vector<Response>& responses) {
     JsonWriter json;
     json.BeginArray();
     for (const auto& r : responses) {
@@ -287,6 +289,7 @@ TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
       json.Key("objects").BeginArray();
       for (const auto& object : r.objects) json.String(object);
       json.EndArray();
+      json.Key("error").String(r.error);
       json.EndObject();
     }
     json.EndArray();
@@ -296,25 +299,29 @@ TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
   for (int epoch : {0, 1, 2}) {
     deepweb::SetFleetEpoch(&world.fleet, epoch);
     std::vector<serve::ExtractionService::Request> requests;
+    std::vector<Response> expected;
     for (const std::string& html : world.FreshHtml()) {
       requests.push_back({"site0", html});
-    }
-    std::string reference;
-    for (bool hot : {true, false}) {
-      for (int threads : {1, 4}) {
-        serve::ServiceOptions options;
-        options.hot_path = hot;
-        options.threads = threads;
-        serve::ExtractionService service(&*store, options);
-        std::string got = serialize(service.ExtractBatch(requests));
-        if (reference.empty()) {
-          reference = got;
-        } else {
-          EXPECT_EQ(got, reference)
-              << "epoch " << epoch << " hot=" << hot
-              << " threads=" << threads;
-        }
+      Response response;
+      response.generation = generation;
+      core::Page page = core::Page::Parse("site0", html);
+      auto located = world.registry.LocateDetailed(page.tree);
+      if (located.node != html::kInvalidNode) {
+        response.source = serve::ExtractionService::Source::kTemplate;
+        response.confidence = located.Confidence();
+        response.pagelet_path = page.tree.PathString(located.node);
+        response.objects = core::ObjectTexts(
+            page.tree, core::PartitionObjects(page.tree, located.node));
       }
+      expected.push_back(std::move(response));
+    }
+    const std::string reference = serialize(expected);
+    for (int threads : {1, 4}) {
+      serve::ServiceOptions options;
+      options.threads = threads;
+      serve::ExtractionService service(&*store, options);
+      EXPECT_EQ(serialize(service.ExtractBatch(requests)), reference)
+          << "epoch " << epoch << " threads=" << threads;
     }
   }
 }

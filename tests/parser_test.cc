@@ -112,7 +112,7 @@ TEST(ParserTest, StrayTableCellEndTagDoesNotCrossBoundary) {
   EXPECT_EQ(tree.SubtreeText(table), "x");
 }
 
-TEST(ParserTest, ScriptTextDroppedByDefault) {
+TEST(ParserTest, ScriptTextDropped) {
   TagTree tree = ParseHtml("<script>var hidden = 1;</script><p>shown</p>");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "shown");
   // The script tag node itself is kept (tag signatures count it).
@@ -124,13 +124,6 @@ TEST(ParserTest, ScriptTextDroppedByDefault) {
     }
   }
   EXPECT_TRUE(saw_script);
-}
-
-TEST(ParserTest, ScriptTextKeptWhenRequested) {
-  ParseOptions options;
-  options.keep_script_text = true;
-  TagTree tree = ParseHtml("<script>var kept = 1;</script>", options);
-  EXPECT_NE(tree.SubtreeText(tree.root()).find("kept"), std::string::npos);
 }
 
 TEST(ParserTest, StyleTextDropped) {

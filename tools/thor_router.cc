@@ -39,6 +39,7 @@
 #include "src/util/failpoint.h"
 #include "src/util/metrics.h"
 #include "src/util/strings.h"
+#include "tools/flags.h"
 
 namespace thor {
 namespace {
@@ -94,6 +95,8 @@ int Main(int argc, char** argv) {
   fleet::RouterOptions router_options;
   double idle_timeout_ms = 60000.0;
   bool print_metrics = false;
+  using flags::kIntMax;
+  using flags::kMaxMs;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -103,37 +106,43 @@ int Main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, int64_t lo, int64_t hi) {
+      return static_cast<int>(flags::Int(flag, next(flag), lo, hi, Usage));
+    };
+    auto real = [&](const char* flag, double lo, double hi) {
+      return flags::Double(flag, next(flag), lo, hi, Usage);
+    };
     if (!std::strcmp(argv[i], "--shard")) {
       shard_specs.push_back(next("--shard"));
     } else if (!std::strcmp(argv[i], "--listen")) {
-      listen_port = std::atoi(next("--listen"));
+      listen_port = count("--listen", 0, 65535);
     } else if (!std::strcmp(argv[i], "--port-file")) {
       port_file = next("--port-file");
     } else if (!std::strcmp(argv[i], "--batch")) {
-      loop_options.batch = std::atoi(next("--batch"));
+      loop_options.batch = count("--batch", 1, kIntMax);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      router_options.threads = std::atoi(next("--threads"));
+      router_options.threads = count("--threads", 0, 1024);
     } else if (!std::strcmp(argv[i], "--max-backlog")) {
       loop_options.max_backlog =
-          static_cast<size_t>(std::atoll(next("--max-backlog")));
+          static_cast<size_t>(count("--max-backlog", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      loop_options.batch_deadline_ms = std::atof(next("--deadline-ms"));
+      loop_options.batch_deadline_ms = real("--deadline-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--retries")) {
-      router_options.max_attempts = std::atoi(next("--retries"));
+      router_options.max_attempts = count("--retries", 0, kIntMax);
     } else if (!std::strcmp(argv[i], "--eject-after")) {
-      router_options.eject_after = std::atoi(next("--eject-after"));
+      router_options.eject_after = count("--eject-after", 1, kIntMax);
     } else if (!std::strcmp(argv[i], "--halfopen-ms")) {
-      router_options.halfopen_ms = std::atof(next("--halfopen-ms"));
+      router_options.halfopen_ms = real("--halfopen-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--vnodes")) {
-      router_options.vnodes = std::atoi(next("--vnodes"));
+      router_options.vnodes = count("--vnodes", 1, 4096);
     } else if (!std::strcmp(argv[i], "--connect-timeout-ms")) {
       router_options.connect_timeout_ms =
-          std::atof(next("--connect-timeout-ms"));
+          real("--connect-timeout-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--request-timeout-ms")) {
       router_options.request_timeout_ms =
-          std::atof(next("--request-timeout-ms"));
+          real("--request-timeout-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-      idle_timeout_ms = std::atof(next("--idle-timeout-ms"));
+      idle_timeout_ms = real("--idle-timeout-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--metrics")) {
       print_metrics = true;
     } else if (!std::strcmp(argv[i], "--list-failpoints")) {
@@ -145,9 +154,7 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (shard_specs.empty() || loop_options.batch < 1 || listen_port < 0) {
-    return Usage();
-  }
+  if (shard_specs.empty()) return Usage();
 
   std::vector<std::vector<fleet::Endpoint>> shards;
   for (const std::string& spec : shard_specs) {

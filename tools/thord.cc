@@ -37,6 +37,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -59,6 +60,7 @@
 #include "src/serve/wire.h"
 #include "src/util/failpoint.h"
 #include "src/util/metrics.h"
+#include "tools/flags.h"
 
 namespace thor {
 namespace {
@@ -196,6 +198,9 @@ int FleetSiteId(const std::string& site, size_t fleet_size) {
 
 int Main(int argc, char** argv) {
   DaemonOptions options;
+  using flags::kIntMax;
+  using flags::kMaxMs;
+  constexpr int64_t kSeedMax = std::numeric_limits<int64_t>::max();
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -204,68 +209,78 @@ int Main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, int64_t lo, int64_t hi) {
+      return flags::Int(flag, next(flag), lo, hi, Usage);
+    };
+    auto real = [&](const char* flag, double lo, double hi) {
+      return flags::Double(flag, next(flag), lo, hi, Usage);
+    };
     if (!std::strcmp(argv[i], "--store")) {
       options.store_dir = next("--store");
     } else if (!std::strcmp(argv[i], "--cache")) {
-      options.cache = static_cast<size_t>(std::atoll(next("--cache")));
+      options.cache = static_cast<size_t>(count("--cache", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--threads")) {
-      options.threads = std::atoi(next("--threads"));
+      options.threads = static_cast<int>(count("--threads", 0, 1024));
     } else if (!std::strcmp(argv[i], "--batch")) {
-      options.batch = std::atoi(next("--batch"));
+      options.batch = static_cast<int>(count("--batch", 1, kIntMax));
     } else if (!std::strcmp(argv[i], "--max-backlog")) {
       options.max_backlog =
-          static_cast<size_t>(std::atoll(next("--max-backlog")));
+          static_cast<size_t>(count("--max-backlog", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      options.deadline_ms = std::atof(next("--deadline-ms"));
+      options.deadline_ms = real("--deadline-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--relearn-deadline-ms")) {
-      options.relearn_deadline_ms =
-          std::atof(next("--relearn-deadline-ms"));
+      options.relearn_deadline_ms = real("--relearn-deadline-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--max-request-bytes")) {
       options.max_request_bytes =
-          static_cast<size_t>(std::atoll(next("--max-request-bytes")));
+          static_cast<size_t>(count("--max-request-bytes", 1, kIntMax));
     } else if (!std::strcmp(argv[i], "--fleet")) {
-      options.fleet = std::atoi(next("--fleet"));
+      options.fleet = static_cast<int>(count("--fleet", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--fault-rate")) {
-      options.fault_rate = std::atof(next("--fault-rate"));
+      options.fault_rate = real("--fault-rate", 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--retry-budget")) {
-      options.retry_budget = std::atoi(next("--retry-budget"));
+      options.retry_budget =
+          static_cast<int>(count("--retry-budget", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--probe-queries")) {
-      options.probe_queries = std::atoi(next("--probe-queries"));
+      options.probe_queries =
+          static_cast<int>(count("--probe-queries", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--relearn-window")) {
-      options.relearn_window = std::atoi(next("--relearn-window"));
+      options.relearn_window =
+          static_cast<int>(count("--relearn-window", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--relearn-miss-rate")) {
-      options.relearn_miss_rate = std::atof(next("--relearn-miss-rate"));
+      options.relearn_miss_rate = real("--relearn-miss-rate", 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--relearn-workers")) {
-      options.relearn_workers = std::atoi(next("--relearn-workers"));
+      options.relearn_workers =
+          static_cast<int>(count("--relearn-workers", 0, 1024));
     } else if (!std::strcmp(argv[i], "--relearn-queue")) {
       options.relearn_queue =
-          static_cast<size_t>(std::atoll(next("--relearn-queue")));
+          static_cast<size_t>(count("--relearn-queue", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--canary-sample")) {
       options.canary_sample =
-          static_cast<size_t>(std::atoll(next("--canary-sample")));
+          static_cast<size_t>(count("--canary-sample", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--canary-floor")) {
-      options.canary_floor = std::atof(next("--canary-floor"));
+      options.canary_floor = real("--canary-floor", 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--drift-seed")) {
       options.drift_seed =
-          static_cast<uint64_t>(std::atoll(next("--drift-seed")));
+          static_cast<uint64_t>(count("--drift-seed", 0, kSeedMax));
     } else if (!std::strcmp(argv[i], "--drift-rate")) {
-      options.drift_rate = std::atof(next("--drift-rate"));
+      options.drift_rate = real("--drift-rate", 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--drift-ab")) {
-      options.drift_ab = std::atof(next("--drift-ab"));
+      options.drift_ab = real("--drift-ab", 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--drift-every")) {
-      options.drift_every = std::atoi(next("--drift-every"));
+      options.drift_every =
+          static_cast<int>(count("--drift-every", 0, kIntMax));
     } else if (!std::strcmp(argv[i], "--seed")) {
-      options.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      options.seed = static_cast<uint64_t>(count("--seed", 0, kSeedMax));
     } else if (!std::strcmp(argv[i], "--listen")) {
-      options.listen_port = std::atoi(next("--listen"));
+      options.listen_port = static_cast<int>(count("--listen", 0, 65535));
     } else if (!std::strcmp(argv[i], "--port-file")) {
       options.port_file = next("--port-file");
     } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-      options.idle_timeout_ms = std::atof(next("--idle-timeout-ms"));
+      options.idle_timeout_ms = real("--idle-timeout-ms", 0.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--peer")) {
       options.peers.push_back(next("--peer"));
     } else if (!std::strcmp(argv[i], "--anti-entropy-ms")) {
-      options.anti_entropy_ms = std::atof(next("--anti-entropy-ms"));
+      options.anti_entropy_ms = real("--anti-entropy-ms", 1.0, kMaxMs);
     } else if (!std::strcmp(argv[i], "--metrics")) {
       options.print_metrics = true;
     } else if (!std::strcmp(argv[i], "--list-failpoints")) {
@@ -277,7 +292,7 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (options.store_dir.empty() || options.batch < 1) return Usage();
+  if (options.store_dir.empty()) return Usage();
 
   auto store = serve::TemplateStore::Open(options.store_dir);
   if (!store.ok()) {
