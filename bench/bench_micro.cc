@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <thread>
 
 #include "src/cluster/kmeans.h"
@@ -89,7 +90,8 @@ const core::TemplateRegistry& BenchRegistry() {
   return registry;
 }
 
-// The serving hot loop, legacy pipeline: parse + locate per request.
+// Parse + locate through the reference composition the learner uses:
+// ParseHtml (HotParser plus the TagTree copy) and LocateDetailed.
 void BM_ParseLocate(benchmark::State& state) {
   const std::string& html = MultiMatchHtml();
   const core::TemplateRegistry& registry = BenchRegistry();
@@ -103,9 +105,9 @@ void BM_ParseLocate(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseLocate);
 
-// Same work on the arena pipeline. tools/check_bench_regression.py gates
-// CI on the BM_HotParseLocate : BM_ParseLocate time ratio staying within
-// 20% of the committed BENCH_micro_baseline.json.
+// Same work on the serving pipeline. tools/check_bench_regression.py gates
+// CI on the BM_HotParseLocate : BM_ReferenceScan ratio of repetition
+// medians staying within 20% of the committed BENCH_micro_baseline.json.
 void BM_HotParseLocate(benchmark::State& state) {
   const std::string& html = MultiMatchHtml();
   core::CompiledTemplates compiled =
@@ -120,6 +122,26 @@ void BM_HotParseLocate(benchmark::State& state) {
                           static_cast<int64_t>(html.size()));
 }
 BENCHMARK(BM_HotParseLocate);
+
+// The host reference for that gate: one FNV-1a-64 pass plus a '<' count
+// over the same page bytes. It shares no code with src/, so it moves with
+// the host and not with the parser.
+void BM_ReferenceScan(benchmark::State& state) {
+  const std::string& html = MultiMatchHtml();
+  for (auto _ : state) {
+    uint64_t hash = 14695981039346656037ull;
+    uint64_t tags = 0;
+    for (char c : html) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+      tags += c == '<';
+    }
+    benchmark::DoNotOptimize(hash);
+    benchmark::DoNotOptimize(tags);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(html.size()));
+}
+BENCHMARK(BM_ReferenceScan);
 
 // BM_HotParseLocate with one extractor per thread, as ExtractBatch runs it.
 // tools/check_bench_regression.py --scaling gates CI on the aggregate

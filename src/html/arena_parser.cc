@@ -1,7 +1,6 @@
 #include "src/html/arena_parser.h"
 
 #include <cassert>
-#include <cstdint>
 
 #include "src/html/entities.h"
 #include "src/html/tag_table.h"
@@ -16,92 +15,63 @@ bool IsTagNameChar(char c) {
   return IsAsciiAlnum(c) || c == '-' || c == '_' || c == ':';
 }
 
-/// AppendUtf8 with a char sink instead of a std::string.
+/// The one start-tag attribute scanner. Starts just past the tag name and
+/// stops after the closing '>' (or at end of input), calling
+/// `sink(name, raw_value)` once per attribute in source order: the name in
+/// its source casing, the value with quotes stripped but entities still
+/// encoded (empty for a valueless attribute). Sets *self_closing on "/>"
+/// and returns the position after the tag. Every byte it looks at lies
+/// before that position, so rescanning exactly the consumed span replays
+/// the same attributes.
 template <typename Sink>
-void PushUtf8(uint32_t cp, Sink&& push) {
-  if (cp == 0 || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
-    cp = 0xFFFD;
-  }
-  if (cp < 0x80) {
-    push(static_cast<char>(cp));
-  } else if (cp < 0x800) {
-    push(static_cast<char>(0xC0 | (cp >> 6)));
-    push(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp < 0x10000) {
-    push(static_cast<char>(0xE0 | (cp >> 12)));
-    push(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    push(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    push(static_cast<char>(0xF0 | (cp >> 18)));
-    push(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    push(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    push(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
-
-/// DecodeEntities with a char sink; branch-for-branch the same algorithm,
-/// so the decoded byte stream is identical. The decoded output never has
-/// more bytes than the input (every reference is at least as long as its
-/// expansion), which is what lets HandleText reserve input-size bytes.
-template <typename Sink>
-void DecodeEntitiesInto(std::string_view input, Sink&& push) {
-  size_t i = 0;
-  while (i < input.size()) {
-    char c = input[i];
-    if (c != '&') {
-      push(c);
-      ++i;
+size_t ScanAttributes(std::string_view input, size_t pos, bool* self_closing,
+                      Sink&& sink) {
+  while (pos < input.size()) {
+    while (pos < input.size() && IsAsciiSpace(input[pos])) ++pos;
+    if (pos >= input.size()) break;
+    char c = input[pos];
+    if (c == '>') return pos + 1;
+    if (c == '/') {
+      ++pos;
+      if (pos < input.size() && input[pos] == '>') {
+        *self_closing = true;
+        return pos + 1;
+      }
+      continue;  // stray '/': skip
+    }
+    size_t name_start = pos;
+    while (pos < input.size() && input[pos] != '=' && input[pos] != '>' &&
+           input[pos] != '/' && !IsAsciiSpace(input[pos])) {
+      ++pos;
+    }
+    if (pos == name_start) {  // stray byte such as '"': skip it
+      ++pos;
       continue;
     }
-    size_t j = i + 1;
-    if (j < input.size() && input[j] == '#') {
-      ++j;
-      bool hex = j < input.size() && (input[j] == 'x' || input[j] == 'X');
-      if (hex) ++j;
-      uint32_t cp = 0;
-      size_t digits_start = j;
-      while (j < input.size()) {
-        char d = input[j];
-        uint32_t v;
-        if (IsAsciiDigit(d)) {
-          v = static_cast<uint32_t>(d - '0');
-        } else if (hex && d >= 'a' && d <= 'f') {
-          v = static_cast<uint32_t>(d - 'a' + 10);
-        } else if (hex && d >= 'A' && d <= 'F') {
-          v = static_cast<uint32_t>(d - 'A' + 10);
-        } else {
-          break;
+    std::string_view name = input.substr(name_start, pos - name_start);
+    std::string_view value;
+    while (pos < input.size() && IsAsciiSpace(input[pos])) ++pos;
+    if (pos < input.size() && input[pos] == '=') {
+      ++pos;
+      while (pos < input.size() && IsAsciiSpace(input[pos])) ++pos;
+      if (pos < input.size() && (input[pos] == '"' || input[pos] == '\'')) {
+        char quote = input[pos++];
+        size_t value_start = pos;
+        while (pos < input.size() && input[pos] != quote) ++pos;
+        value = input.substr(value_start, pos - value_start);
+        if (pos < input.size()) ++pos;  // closing quote
+      } else {
+        size_t value_start = pos;
+        while (pos < input.size() && !IsAsciiSpace(input[pos]) &&
+               input[pos] != '>') {
+          ++pos;
         }
-        cp = cp * (hex ? 16u : 10u) + v;
-        if (cp > 0x110000) cp = 0x110000;  // clamp; will become U+FFFD
-        ++j;
-      }
-      if (j == digits_start) {
-        push('&');  // "&#" with no digits: literal
-        ++i;
-        continue;
-      }
-      PushUtf8(cp, push);
-      if (j < input.size() && input[j] == ';') ++j;
-      i = j;
-      continue;
-    }
-    size_t name_end = j;
-    while (name_end < input.size() && IsAsciiAlnum(input[name_end])) {
-      ++name_end;
-    }
-    if (name_end > j) {
-      auto decoded = LookupNamedEntity(input.substr(j, name_end - j));
-      if (decoded.has_value()) {
-        for (char d : *decoded) push(d);
-        if (name_end < input.size() && input[name_end] == ';') ++name_end;
-        i = name_end;
-        continue;
+        value = input.substr(value_start, pos - value_start);
       }
     }
-    push('&');
-    ++i;
+    sink(name, value);
   }
+  return pos;
 }
 
 }  // namespace
@@ -119,6 +89,7 @@ const ArenaTree& HotParser::Parse(std::string_view input,
   head_ = kInvalidNode;
   body_ = kInvalidNode;
   last_raw_text_node_ = kInvalidNode;
+  attribute_spans_.clear();
 
   LexedToken token;
   while (NextToken(&token)) {
@@ -139,7 +110,7 @@ const ArenaTree& HotParser::Parse(std::string_view input,
         HandleText(token.text, /*is_raw_text=*/true);
         break;
       case LexedToken::Kind::kSkip:
-        break;  // comments/doctypes stripped, same as the legacy builder
+        break;  // comments/doctypes stripped, as HTML Tidy normalization does
     }
   }
   tree_.FinalizeDerived();
@@ -244,62 +215,24 @@ void HotParser::LexStartTag(LexedToken* token) {
   while (pos_ < input_.size() && IsTagNameChar(input_[pos_])) ++pos_;
   token->kind = LexedToken::Kind::kStartTag;
   token->name = input_.substr(start, pos_ - start);
-  SkipAttributes(token);
+  // Positions only: names and values are materialized by ToTagTree, from
+  // the span recorded here, and never on the serving path.
+  size_t attributes_start = pos_;
+  bool has_attributes = false;
+  pos_ = ScanAttributes(input_, pos_, &token->self_closing,
+                        [&](std::string_view, std::string_view) {
+                          has_attributes = true;
+                        });
+  if (has_attributes) {
+    token->attributes =
+        input_.substr(attributes_start, pos_ - attributes_start);
+  }
   // FindTag, not InternTag: interning happens when the token is handled,
-  // which keeps the registry identical to the legacy pipeline even when a
-  // max_nodes cap stops handling before lexing does.
+  // so a max_nodes cap that stops handling before lexing does leaves the
+  // registry untouched by the unhandled tag.
   TagId id = FindTag(token->name);
   if (!token->self_closing && id >= 0 && IsRawTextTag(id)) {
     EnterRawText(token->name);
-  }
-}
-
-void HotParser::SkipAttributes(LexedToken* token) {
-  // Same control flow as Tokenizer::LexAttributes, minus materializing
-  // names/values (positions never depend on entity decoding).
-  while (pos_ < input_.size()) {
-    while (pos_ < input_.size() && IsAsciiSpace(input_[pos_])) ++pos_;
-    if (pos_ >= input_.size()) return;
-    char c = input_[pos_];
-    if (c == '>') {
-      ++pos_;
-      return;
-    }
-    if (c == '/') {
-      ++pos_;
-      if (pos_ < input_.size() && input_[pos_] == '>') {
-        token->self_closing = true;
-        ++pos_;
-        return;
-      }
-      continue;  // stray '/': skip
-    }
-    size_t name_start = pos_;
-    while (pos_ < input_.size() && input_[pos_] != '=' &&
-           input_[pos_] != '>' && input_[pos_] != '/' &&
-           !IsAsciiSpace(input_[pos_])) {
-      ++pos_;
-    }
-    if (pos_ == name_start) {  // stray byte such as '"': skip it
-      ++pos_;
-      continue;
-    }
-    while (pos_ < input_.size() && IsAsciiSpace(input_[pos_])) ++pos_;
-    if (pos_ < input_.size() && input_[pos_] == '=') {
-      ++pos_;
-      while (pos_ < input_.size() && IsAsciiSpace(input_[pos_])) ++pos_;
-      if (pos_ < input_.size() &&
-          (input_[pos_] == '"' || input_[pos_] == '\'')) {
-        char quote = input_[pos_++];
-        while (pos_ < input_.size() && input_[pos_] != quote) ++pos_;
-        if (pos_ < input_.size()) ++pos_;  // closing quote
-      } else {
-        while (pos_ < input_.size() && !IsAsciiSpace(input_[pos_]) &&
-               input_[pos_] != '>') {
-          ++pos_;
-        }
-      }
-    }
   }
 }
 
@@ -349,7 +282,8 @@ void HotParser::PopOne() {
 void HotParser::HandleStartTag(const LexedToken& token) {
   TagId tag = InternTag(token.name);
   if (tag == Tag::kHtml) {
-    // Legacy merges attributes into the root; ArenaTree stores none.
+    // <html> attributes merge into the synthesized root, in source order.
+    RecordAttributes(tree_.root(), token);
     return;
   }
   if (tag == Tag::kHead) {
@@ -360,6 +294,7 @@ void HotParser::HandleStartTag(const LexedToken& token) {
   }
   if (tag == Tag::kBody) {
     EnsureBody();
+    RecordAttributes(body_, token);
     return;
   }
   if (AtRootLevel()) {
@@ -381,11 +316,18 @@ void HotParser::HandleStartTag(const LexedToken& token) {
   }
   if (AtRootLevel()) EnsureBody();
   NodeId node = tree_.AddTag(Top(), tag);
+  RecordAttributes(node, token);
   if (!IsVoidTag(tag) && !token.self_closing) {
     stack_.push_back(node);
   }
   last_raw_text_node_ =
       (IsRawTextTag(tag) && !token.self_closing) ? node : kInvalidNode;
+}
+
+void HotParser::RecordAttributes(NodeId node, const LexedToken& token) {
+  if (!token.attributes.empty()) {
+    attribute_spans_.push_back({node, token.attributes});
+  }
 }
 
 void HotParser::HandleEndTag(std::string_view name) {
@@ -419,8 +361,6 @@ void HotParser::HandleEndTag(std::string_view name) {
 }
 
 void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
-  // Same drop rule as the legacy builder (order relative to the emptiness
-  // check does not matter: both return without side effects).
   if (last_raw_text_node_ != kInvalidNode && Top() == last_raw_text_node_) {
     TagId tag = tree_.node(Top()).tag;
     if (tag == Tag::kScript || tag == Tag::kStyle) {
@@ -445,10 +385,10 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   };
   if (is_raw_text) {
     // Raw-text payloads (title/textarea/script/style) are never
-    // entity-decoded by the legacy tokenizer either.
+    // entity-decoded.
     for (char c : raw) push(c);
   } else {
-    DecodeEntitiesInto(raw, push);
+    DecodeEntities(raw, push);
   }
   assert(n <= raw.size());
   if (n > 0 && buf[n - 1] == ' ') --n;  // CollapseWhitespace trims the tail
@@ -456,6 +396,32 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   if (n == 0) return;
   if (AtRootLevel()) EnsureBody();
   tree_.AddContent(Top(), std::string_view(buf, n));
+}
+
+
+TagTree HotParser::ToTagTree() const {
+  // Arena ids are insertion order with parents first, so appending in id
+  // order reproduces every id and every child order.
+  TagTree out;
+  for (NodeId id = 1; id < tree_.node_count(); ++id) {
+    const ArenaNode& n = tree_.node(id);
+    if (n.is_tag()) {
+      out.AddTag(n.parent, n.tag);
+    } else {
+      out.AddContent(n.parent, n.text());
+    }
+  }
+  for (const AttributeSpan& span : attribute_spans_) {
+    std::vector<Attribute>& attributes = out.mutable_node(span.node).attributes;
+    bool self_closing = false;
+    ScanAttributes(span.bytes, 0, &self_closing,
+                   [&](std::string_view name, std::string_view value) {
+                     attributes.push_back({AsciiLower(name),
+                                           DecodeEntities(value)});
+                   });
+  }
+  out.FinalizeDerived();
+  return out;
 }
 
 }  // namespace thor::html

@@ -9,26 +9,27 @@
 
 namespace thor::html {
 
-/// \brief Fused tokenizer + tree builder for the extraction hot path.
+/// \brief The HTML lexer and tree builder: one pass, no steady-state heap.
 ///
-/// Produces an ArenaTree semantically identical to
-/// `ParseHtml(input, options)` — same node ids, same recovery rules, same
-/// collapsed/entity-decoded content text — but in one pass with no heap
-/// allocation at steady state:
+/// Produces the paper's tag-tree model as an ArenaTree. Recovery rules
+/// (implied end tags, void elements, head/body synthesis, mismatched
+/// end-tag skipping) mirror what the paper obtained by piping pages through
+/// HTML Tidy; any byte sequence yields a tree.
 ///
 /// - the token stream is lexed as string_views over the input; tag names
 ///   are never copied (the process-wide tag registry folds case during
 ///   lookup);
-/// - attributes are scanned for position only (the extraction phases never
-///   read them) — no names, values, or entity decoding are materialized;
+/// - attributes are scanned for position only: each handled start tag that
+///   carries any records one (node, byte span) entry, which ToTagTree
+///   decodes for learning and labeling; serving never reads them;
 /// - text runs are entity-decoded and whitespace-collapsed in a single
 ///   fused pass straight into the tree's arena (raw-text elements skip
-///   decoding, exactly like the legacy two-phase pipeline);
+///   decoding);
 /// - path signatures and tag counts are built during construction by
 ///   ArenaTree::AddTag, so signature building costs nothing extra.
 ///
-/// The differential harness (tests/hotpath_diff_test.cc) pins this parser
-/// byte-for-byte against ParseHtml over whole drifting deepweb fleets.
+/// ParseHtml is Parse followed by ToTagTree; tests/hotpath_diff_test.cc
+/// pins the two trees node for node over whole drifting deepweb fleets.
 ///
 /// Reusable: each Parse resets and refills the embedded tree. Not
 /// thread-safe; use one HotParser per worker thread.
@@ -40,6 +41,12 @@ class HotParser {
                          const ParseOptions& options = {});
 
   const ArenaTree& tree() const { return tree_; }
+
+  /// Copies the last parse into a TagTree: same node ids, collapsed text
+  /// and derived fields, plus the decoded start-tag attributes. The input
+  /// given to that Parse must still be alive (attributes are decoded from
+  /// it).
+  TagTree ToTagTree() const;
 
  private:
   struct LexedToken {
@@ -53,20 +60,29 @@ class HotParser {
     Kind kind = Kind::kSkip;
     std::string_view name;  // start/end tag name, original casing
     std::string_view text;
+    /// Start tag's attribute bytes; empty when it carries no attribute.
+    std::string_view attributes;
     bool self_closing = false;
   };
 
-  // Lexer (mirrors Tokenizer byte-for-byte on position advancement).
+  /// Attribute bytes of one handled start tag and the node they belong to
+  /// (the root for <html>, body for <body>, else the new node).
+  struct AttributeSpan {
+    NodeId node;
+    std::string_view bytes;
+  };
+
+  // Lexer.
   bool NextToken(LexedToken* token);
   bool LexMarkup(LexedToken* token);
   void LexBogusComment();
   void LexEndTag(LexedToken* token);
   void LexStartTag(LexedToken* token);
-  void SkipAttributes(LexedToken* token);
   void EnterRawText(std::string_view tag_name);
 
-  // Builder (mirrors parser.cc's TreeBuilder).
+  // Builder.
   void HandleStartTag(const LexedToken& token);
+  void RecordAttributes(NodeId node, const LexedToken& token);
   void HandleEndTag(std::string_view name);
   void HandleText(std::string_view raw, bool is_raw_text);
   NodeId Top() const { return stack_.back(); }
@@ -82,6 +98,8 @@ class HotParser {
   NodeId head_ = kInvalidNode;
   NodeId body_ = kInvalidNode;
   NodeId last_raw_text_node_ = kInvalidNode;
+  /// Capacity retained across Parse calls, like the tree's.
+  std::vector<AttributeSpan> attribute_spans_;
 
   std::string_view input_;
   size_t pos_ = 0;

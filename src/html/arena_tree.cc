@@ -102,7 +102,7 @@ void ArenaTree::FinalizeDerived() {
 
 std::string_view ArenaTree::PathSymbols(NodeId id) const {
   const ArenaNode& n = node(id);
-  // Content leaves hang off a tag parent; legacy PathTags skips them, so
+  // Content leaves hang off a tag parent; TagTree::PathTags skips them, so
   // their path equals the parent's.
   uint32_t pid = n.is_tag() ? n.path_id
                             : node(n.parent).path_id;

@@ -34,7 +34,7 @@ struct ArenaNode {
   /// Page-local id of this node's root->node tag path (tag nodes only).
   /// Two nodes share a path_id iff they have the same tag chain, which is
   /// exactly when their TagTree::PathSymbols strings are equal — so the
-  /// extraction hot path compares u32 ids where the legacy path compares
+  /// extraction hot path compares u32 ids where the TagTree path compares
   /// strings.
   uint32_t path_id = 0;
   /// Whitespace-collapsed character data (content nodes); arena-backed.
@@ -47,10 +47,11 @@ struct ArenaNode {
 
 /// \brief Zero-allocation-steady-state tag tree for the extraction hot path.
 ///
-/// Semantically a TagTree: same node ids (insertion order), same derived
-/// fields, same path/text query results — the differential harness in
-/// tests/hotpath_diff_test.cc holds the two structures byte-equal over
-/// whole deepweb fleets. Mechanically everything is reused: node records
+/// HotParser builds it; HotParser::ToTagTree copies it into the TagTree
+/// that learning reads, keeping node ids (insertion order), derived fields
+/// and path/text query results — tests/hotpath_diff_test.cc and
+/// tests/html_mutation_test.cc hold the two byte-equal over whole deepweb
+/// fleets and their mutants. Mechanically everything is reused: node records
 /// live in a capacity-retaining vector, text and path strings in a bump
 /// Arena, and the per-page path-intern table keeps its buckets across
 /// Reset(). After a warm-up page, parsing touches the heap zero times.
@@ -78,6 +79,7 @@ class ArenaTree {
   }
 
   Arena& arena() { return arena_; }
+  const Arena& arena() const { return arena_; }
 
   /// Appends a tag node under `parent`: links it as the last child, assigns
   /// depth and interned path id, and bumps the fused tag counts.
@@ -103,7 +105,7 @@ class ArenaTree {
   uint32_t path_count() const { return static_cast<uint32_t>(paths_.size()); }
 
   /// TagTree::PathSymbols equivalent (content nodes defer to their parent
-  /// chain, exactly like the legacy walk that skips content nodes).
+  /// chain, exactly like TagTree::PathTags, which skips content nodes).
   std::string_view PathSymbols(NodeId id) const;
 
   /// TagTree::PathString equivalent: "html/body/table[3]"-style address
@@ -112,8 +114,8 @@ class ArenaTree {
 
   /// TagTree::SubtreeText equivalent, appending into a caller-owned buffer
   /// (space-joined content text in document order). `out` need not be
-  /// empty; separators follow the legacy "separator iff out non-empty"
-  /// rule, so pass a fresh buffer for byte-parity with SubtreeText.
+  /// empty; separators follow SubtreeText's "separator iff out non-empty"
+  /// rule, so pass a fresh buffer for byte-parity with it.
   void AppendSubtreeText(NodeId id, std::string* out) const;
 
   /// Fused whole-page tag counts: occurrences of `tag` (0 when absent),

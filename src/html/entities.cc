@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstdint>
-
-#include "src/util/strings.h"
 
 namespace thor::html {
 
@@ -87,88 +84,10 @@ std::optional<std::string_view> LookupNamedEntity(std::string_view name) {
   return std::nullopt;
 }
 
-void AppendUtf8(uint32_t cp, std::string* out) {
-  if (cp == 0 || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
-    cp = 0xFFFD;
-  }
-  if (cp < 0x80) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp < 0x800) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp < 0x10000) {
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
-
 std::string DecodeEntities(std::string_view input) {
   std::string out;
   out.reserve(input.size());
-  size_t i = 0;
-  while (i < input.size()) {
-    char c = input[i];
-    if (c != '&') {
-      out.push_back(c);
-      ++i;
-      continue;
-    }
-    // Try to parse a reference starting at i.
-    size_t j = i + 1;
-    if (j < input.size() && input[j] == '#') {
-      ++j;
-      bool hex = j < input.size() && (input[j] == 'x' || input[j] == 'X');
-      if (hex) ++j;
-      uint32_t cp = 0;
-      size_t digits_start = j;
-      while (j < input.size()) {
-        char d = input[j];
-        uint32_t v;
-        if (IsAsciiDigit(d)) {
-          v = static_cast<uint32_t>(d - '0');
-        } else if (hex && d >= 'a' && d <= 'f') {
-          v = static_cast<uint32_t>(d - 'a' + 10);
-        } else if (hex && d >= 'A' && d <= 'F') {
-          v = static_cast<uint32_t>(d - 'A' + 10);
-        } else {
-          break;
-        }
-        cp = cp * (hex ? 16u : 10u) + v;
-        if (cp > 0x110000) cp = 0x110000;  // clamp; will become U+FFFD
-        ++j;
-      }
-      if (j == digits_start) {
-        out.push_back('&');  // "&#" with no digits: literal
-        ++i;
-        continue;
-      }
-      AppendUtf8(cp, &out);
-      if (j < input.size() && input[j] == ';') ++j;
-      i = j;
-      continue;
-    }
-    size_t name_end = j;
-    while (name_end < input.size() && IsAsciiAlnum(input[name_end])) {
-      ++name_end;
-    }
-    if (name_end > j) {
-      auto decoded = LookupNamedEntity(input.substr(j, name_end - j));
-      if (decoded.has_value()) {
-        out.append(*decoded);
-        if (name_end < input.size() && input[name_end] == ';') ++name_end;
-        i = name_end;
-        continue;
-      }
-    }
-    out.push_back('&');
-    ++i;
-  }
+  DecodeEntities(input, [&out](char c) { out.push_back(c); });
   return out;
 }
 

@@ -8,22 +8,24 @@
 
 namespace thor::html {
 
-/// Knobs for the tree builder. The raw text of <script>/<style> is always
+/// Knobs for the parser. The raw text of <script>/<style> is always
 /// dropped (the tag node stays): the paper's content signatures measure
 /// visible terms, and scripts/styles would pollute them.
 struct ParseOptions {
-  /// Hard cap on tree size to bound adversarial inputs; further markup is
-  /// dropped (0 = unlimited).
+  /// Cap on tree size to bound adversarial inputs, checked before each
+  /// token; the token that reaches it may still add up to three nodes, and
+  /// further markup is dropped (0 = unlimited).
   int max_nodes = 0;
 };
 
-/// \brief Error-tolerant HTML tree builder.
+/// \brief Error-tolerant HTML parser producing the paper's tag-tree model.
 ///
-/// Produces the paper's tag-tree model: a rooted tree of tag nodes and
-/// content-node leaves. Recovery rules (implied end tags, void elements,
-/// head/body synthesis, mismatched end-tag skipping) mirror what the paper
-/// obtained by piping pages through HTML Tidy. Parsing never fails; any
-/// byte sequence yields a tree.
+/// A rooted tree of tag nodes and content-node leaves, with start-tag
+/// attributes. This is HotParser::Parse followed by HotParser::ToTagTree,
+/// so learning, labeling and serving share one lexer and one set of
+/// recovery rules (implied end tags, void elements, head/body synthesis,
+/// mismatched end-tag skipping) — what the paper obtained by piping pages
+/// through HTML Tidy. Parsing never fails; any byte sequence yields a tree.
 TagTree ParseHtml(std::string_view input, const ParseOptions& options = {});
 
 /// Damage indicators collected by ParseHtmlChecked.

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/html/tag_table.h"
-#include "src/html/tokenizer.h"
 
 namespace thor::html {
 
@@ -15,6 +14,13 @@ namespace thor::html {
 /// in a finalized tree.
 using NodeId = int32_t;
 inline constexpr NodeId kInvalidNode = -1;
+
+/// One name="value" attribute from a start tag. Names are lowercased;
+/// values are entity-decoded.
+struct Attribute {
+  std::string name;
+  std::string value;
+};
 
 /// The paper's tag-tree node kinds: tag nodes (labeled by the start-tag
 /// name) and content nodes (leaves labeled by their character data).

@@ -1,15 +1,17 @@
 #!/bin/sh
-# Numeric flags of thord and thor-router are parsed strictly: a value that
-# does not parse as a whole, or lands out of range, must exit 2 with usage
-# instead of being read as 0 (`--cache abc` would disable the template
-# cache, `--listen abc` would bind an ephemeral port). A good value must
+# Numeric flags of thord, thor-router and thorcli are parsed strictly: a
+# value that does not parse as a whole, or lands out of range, must exit 2
+# with usage instead of being read as 0 (`--cache abc` would disable the
+# template cache, `--listen abc` would bind an ephemeral port,
+# `send --timeout-ms abc` would give a 0 ms deadline). A good value must
 # still be accepted.
 #
-# usage: daemon_bad_flags.sh THORD THOR_ROUTER WORKDIR
+# usage: daemon_bad_flags.sh THORD THOR_ROUTER WORKDIR THORCLI
 
 THORD=$1
 ROUTER=$2
 WORK=$3
+THORCLI=$4
 fail=0
 
 rm -rf "$WORK" || exit 1
@@ -37,6 +39,20 @@ done
 for flag in "--listen abc" "--batch -1" "--vnodes 0" "--retries 2.5" \
     "--halfopen-ms fast" "--eject-after ''"; do
   eval expect 2 "\"$ROUTER\"" --shard 127.0.0.1:1 $flag
+done
+# thorcli: each command line is otherwise runnable, so only the bad value
+# can make it exit 2.
+for args in "probe --sites abc" "probe --sites 1 --queries 3x" \
+    "probe --sites 1 --queries 2 --drift-seed 12abc" \
+    "probe --sites 1 --queries 2 --drift-rate 1.5" \
+    "probe --sites 1 --queries 2 --drift-ab nan" \
+    "probe --sites 1 --queries 2 --epoch -1" \
+    "send --port 80x" "send --port 1 --timeout-ms abc" \
+    "fetch --port 80x --path /" "fetch --port 1 --path / --timeout-ms abc" \
+    "eval --sites 1x" "eval --sites 1 --fault-rate x" \
+    "eval --sites 1 --retry-budget -1" "eval --sites 1 --deadline-ms fast" \
+    "eval --sites 1 --seed 5x"; do
+  eval expect 2 "\"$THORCLI\"" $args --out "\"$WORK/probe\""
 done
 
 # Good values still parse: an empty stdio stream exits 0.

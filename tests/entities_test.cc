@@ -58,15 +58,12 @@ TEST(EntitiesTest, InvalidCodePointsBecomeReplacementChar) {
   EXPECT_EQ(DecodeEntities("&#99999999999;"), "\xEF\xBF\xBD");
 }
 
-TEST(EntitiesTest, AppendUtf8Boundaries) {
+TEST(EntitiesTest, EncodeUtf8Boundaries) {
   std::string out;
-  AppendUtf8(0x7F, &out);
-  AppendUtf8(0x80, &out);
-  AppendUtf8(0x7FF, &out);
-  AppendUtf8(0x800, &out);
-  AppendUtf8(0xFFFF, &out);
-  AppendUtf8(0x10000, &out);
-  AppendUtf8(0x10FFFF, &out);
+  for (uint32_t cp : {0x7Fu, 0x80u, 0x7FFu, 0x800u, 0xFFFFu, 0x10000u,
+                      0x10FFFFu}) {
+    EncodeUtf8(cp, [&out](char c) { out.push_back(c); });
+  }
   EXPECT_EQ(out,
             "\x7F"
             "\xC2\x80"

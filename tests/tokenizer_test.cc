@@ -1,178 +1,162 @@
-#include "src/html/tokenizer.h"
-
+// Lexing rules of the one HTML parser, observed through the tree that
+// ParseHtml builds: tag names, attribute names and values, text and entity
+// decoding, comments, doctypes, raw-text elements, and EOF truncation.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <string_view>
+
+#include "src/html/parser.h"
+#include "src/html/serializer.h"
+#include "src/html/tag_tree.h"
 
 namespace thor::html {
 namespace {
 
-std::vector<Token> Lex(std::string_view html) {
-  return Tokenizer::TokenizeAll(html);
+/// The tree as markup, e.g. "<html><body><p>hi</p></body></html>".
+std::string Shape(std::string_view html) { return Serialize(ParseHtml(html)); }
+
+/// First node (preorder) carrying `tag`, or kInvalidNode.
+NodeId First(const TagTree& tree, TagId tag) {
+  for (NodeId id : tree.Preorder()) {
+    if (tree.node(id).kind == NodeKind::kTag && tree.node(id).tag == tag) {
+      return id;
+    }
+  }
+  return kInvalidNode;
+}
+
+/// All content text of the page, space-joined in document order.
+std::string Text(std::string_view html) {
+  TagTree tree = ParseHtml(html);
+  return tree.SubtreeText(tree.root());
 }
 
 TEST(TokenizerTest, SimpleStartEndText) {
-  auto tokens = Lex("<p>hello</p>");
-  ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kStartTag);
-  EXPECT_EQ(tokens[0].name, "p");
-  EXPECT_EQ(tokens[1].kind, TokenKind::kText);
-  EXPECT_EQ(tokens[1].text, "hello");
-  EXPECT_EQ(tokens[2].kind, TokenKind::kEndTag);
-  EXPECT_EQ(tokens[2].name, "p");
+  EXPECT_EQ(Shape("<p>hello</p>"), "<html><body><p>hello</p></body></html>");
 }
 
 TEST(TokenizerTest, TagNamesAreLowercased) {
-  auto tokens = Lex("<TABLE><TR></TR></TABLE>");
-  ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[0].name, "table");
-  EXPECT_EQ(tokens[1].name, "tr");
-  EXPECT_EQ(tokens[2].name, "tr");
-  EXPECT_EQ(tokens[3].name, "table");
+  EXPECT_EQ(Shape("<TABLE><TR></TR></TABLE>"),
+            "<html><body><table><tr></tr></table></body></html>");
 }
 
 TEST(TokenizerTest, QuotedAttributes) {
-  auto tokens = Lex(R"(<a href="/x" title='hi there'>)");
-  ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(tokens[0].attributes.size(), 2u);
-  EXPECT_EQ(tokens[0].attributes[0].name, "href");
-  EXPECT_EQ(tokens[0].attributes[0].value, "/x");
-  EXPECT_EQ(tokens[0].attributes[1].name, "title");
-  EXPECT_EQ(tokens[0].attributes[1].value, "hi there");
+  TagTree tree = ParseHtml(R"(<a href="/x" title='hi there'>)");
+  NodeId a = First(tree, Tag::kA);
+  ASSERT_NE(a, kInvalidNode);
+  const auto& attributes = tree.node(a).attributes;
+  ASSERT_EQ(attributes.size(), 2u);
+  EXPECT_EQ(attributes[0].name, "href");
+  EXPECT_EQ(attributes[0].value, "/x");
+  EXPECT_EQ(attributes[1].name, "title");
+  EXPECT_EQ(attributes[1].value, "hi there");
 }
 
 TEST(TokenizerTest, UnquotedAndValuelessAttributes) {
-  auto tokens = Lex("<input type=text disabled>");
-  ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(tokens[0].attributes.size(), 2u);
-  EXPECT_EQ(tokens[0].attributes[0].name, "type");
-  EXPECT_EQ(tokens[0].attributes[0].value, "text");
-  EXPECT_EQ(tokens[0].attributes[1].name, "disabled");
-  EXPECT_EQ(tokens[0].attributes[1].value, "");
+  TagTree tree = ParseHtml("<input type=text disabled>");
+  NodeId input = First(tree, Tag::kInput);
+  ASSERT_NE(input, kInvalidNode);
+  const auto& attributes = tree.node(input).attributes;
+  ASSERT_EQ(attributes.size(), 2u);
+  EXPECT_EQ(attributes[0].name, "type");
+  EXPECT_EQ(attributes[0].value, "text");
+  EXPECT_EQ(attributes[1].name, "disabled");
+  EXPECT_EQ(attributes[1].value, "");
 }
 
 TEST(TokenizerTest, AttributeNamesLowercasedValuesDecoded) {
-  auto tokens = Lex(R"(<a HREF="/s?a=1&amp;b=2">)");
-  ASSERT_EQ(tokens[0].attributes.size(), 1u);
-  EXPECT_EQ(tokens[0].attributes[0].name, "href");
-  EXPECT_EQ(tokens[0].attributes[0].value, "/s?a=1&b=2");
+  TagTree tree = ParseHtml(R"(<a HREF="/s?a=1&amp;b=2">)");
+  NodeId a = First(tree, Tag::kA);
+  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
+  EXPECT_EQ(tree.AttributeValue(a, "href"), "/s?a=1&b=2");
 }
 
 TEST(TokenizerTest, SelfClosingTag) {
-  auto tokens = Lex("<br/><img src='x'/>");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_TRUE(tokens[0].self_closing);
-  EXPECT_TRUE(tokens[1].self_closing);
-  EXPECT_EQ(tokens[1].attributes[0].value, "x");
+  EXPECT_EQ(Shape("<br/><img src='x'/>"),
+            "<html><body><br><img src=\"x\"></body></html>");
+  // "/>" closes a non-void element at once: the text is its sibling.
+  EXPECT_EQ(Shape("<div/>after"),
+            "<html><body><div></div>after</body></html>");
 }
 
 TEST(TokenizerTest, TextEntitiesDecoded) {
-  auto tokens = Lex("<b>Tom &amp; Jerry</b>");
-  EXPECT_EQ(tokens[1].text, "Tom & Jerry");
+  EXPECT_EQ(Text("<b>Tom &amp; Jerry</b>"), "Tom & Jerry");
 }
 
 TEST(TokenizerTest, Comments) {
-  auto tokens = Lex("a<!-- hidden <b> -->b");
-  ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kText);
-  EXPECT_EQ(tokens[1].kind, TokenKind::kComment);
-  EXPECT_EQ(tokens[1].text, " hidden <b> ");
-  EXPECT_EQ(tokens[2].text, "b");
+  EXPECT_EQ(Shape("a<!-- hidden <b> -->b"), "<html><body>ab</body></html>");
+  TagTree tree = ParseHtml("a<!-- hidden <b> -->b");
+  EXPECT_EQ(tree.SubtreeText(tree.root()), "a b");  // two content nodes
+  EXPECT_EQ(First(tree, Tag::kB), kInvalidNode);
 }
 
 TEST(TokenizerTest, UnterminatedCommentConsumesRest) {
-  auto tokens = Lex("x<!-- never closed");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[1].kind, TokenKind::kComment);
+  EXPECT_EQ(Shape("x<!-- never closed <p>y"), "<html><body>x</body></html>");
 }
 
 TEST(TokenizerTest, Doctype) {
-  auto tokens = Lex("<!DOCTYPE html><html>");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kDoctype);
-  EXPECT_EQ(tokens[1].kind, TokenKind::kStartTag);
+  EXPECT_EQ(ParseHtml("<!DOCTYPE html><html>").node_count(), 1);
+  EXPECT_EQ(Shape("<!DOCTYPE html><html><p>x"),
+            "<html><body><p>x</p></body></html>");
 }
 
 TEST(TokenizerTest, BogusConstructsBecomeComments) {
-  auto tokens = Lex("<?xml version='1.0'?><!foo>");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kComment);
-  EXPECT_EQ(tokens[1].kind, TokenKind::kComment);
+  EXPECT_EQ(ParseHtml("<?xml version='1.0'?><!foo>").node_count(), 1);
+  EXPECT_EQ(Shape("<?xml version='1.0'?><!foo></3><p>y"),
+            "<html><body><p>y</p></body></html>");
 }
 
 TEST(TokenizerTest, LiteralLessThanIsText) {
-  auto tokens = Lex("if a < b then");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kText);
-  EXPECT_EQ(tokens[0].text, "if a < b then");
+  EXPECT_EQ(Text("if a < b then"), "if a < b then");
 }
 
 TEST(TokenizerTest, ScriptContentIsRawText) {
-  auto tokens = Lex("<script>if (a<b && c>d) {}</script>after");
-  ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kStartTag);
-  EXPECT_EQ(tokens[0].name, "script");
-  EXPECT_EQ(tokens[1].kind, TokenKind::kText);
-  EXPECT_EQ(tokens[1].text, "if (a<b && c>d) {}");
-  EXPECT_EQ(tokens[2].kind, TokenKind::kEndTag);
-  EXPECT_EQ(tokens[2].name, "script");
-  EXPECT_EQ(tokens[3].text, "after");
+  // The code is one raw-text run (no <b> or <d> tags), then dropped.
+  EXPECT_EQ(Shape("<script>if (a<b && c>d) {}</script>after"),
+            "<html><body><script></script>after</body></html>");
 }
 
 TEST(TokenizerTest, RawTextEndTagIsCaseInsensitive) {
-  auto tokens = Lex("<STYLE>b { }</StYlE>x");
-  ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[1].text, "b { }");
-  EXPECT_EQ(tokens[2].kind, TokenKind::kEndTag);
+  // The end tag closes the element: "x" is its sibling, not its text.
+  EXPECT_EQ(Shape("<title>b { }</TiTlE>x"),
+            "<html><head><title>b { }</title>x</head></html>");
+  EXPECT_EQ(Shape("<STYLE>b { }</StYlE>x"),
+            "<html><head><style></style>x</head></html>");
 }
 
 TEST(TokenizerTest, UnterminatedRawTextConsumesRest) {
-  auto tokens = Lex("<script>var x = 1;");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[1].kind, TokenKind::kText);
-  EXPECT_EQ(tokens[1].text, "var x = 1;");
+  EXPECT_EQ(Shape("<title>var x = 1;<p>y"),
+            "<html><head><title>var x = 1;&lt;p&gt;y</title></head></html>");
 }
 
 TEST(TokenizerTest, RawTextDoesNotStopAtPrefixCollision) {
-  // "</scriptx>" must not close <script>.
-  auto tokens = Lex("<script>a</scriptx>b</script>");
-  ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[1].text, "a</scriptx>b");
+  // "</titlex>" must not close <title>.
+  EXPECT_EQ(Text("<title>a</titlex>b</title>"), "a</titlex>b");
 }
 
 TEST(TokenizerTest, TitleIsRawText) {
-  auto tokens = Lex("<title>a <b> c</title>");
-  ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[1].text, "a <b> c");
+  TagTree tree = ParseHtml("<title>a <b> c</title>");
+  EXPECT_EQ(tree.SubtreeText(tree.root()), "a <b> c");
+  EXPECT_EQ(First(tree, Tag::kB), kInvalidNode);
 }
 
 TEST(TokenizerTest, EndTagAttributesIgnored) {
-  auto tokens = Lex("</p class='x'>");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kEndTag);
-  EXPECT_EQ(tokens[0].name, "p");
-  EXPECT_TRUE(tokens[0].attributes.empty());
+  EXPECT_EQ(Shape("<p>x</p class='x'>y"),
+            "<html><body><p>x</p>y</body></html>");
 }
 
 TEST(TokenizerTest, UnterminatedTagAtEof) {
-  auto tokens = Lex("<a href=");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kStartTag);
+  TagTree tree = ParseHtml("<a href=");
+  NodeId a = First(tree, Tag::kA);
+  ASSERT_NE(a, kInvalidNode);
+  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
+  EXPECT_EQ(tree.node(a).attributes[0].name, "href");
 }
 
-TEST(TokenizerTest, OffsetsTrackInput) {
-  Tokenizer tokenizer("ab<p>c</p>");
-  Token token;
-  ASSERT_TRUE(tokenizer.Next(&token));
-  EXPECT_EQ(token.offset, 0u);
-  ASSERT_TRUE(tokenizer.Next(&token));
-  EXPECT_EQ(token.offset, 2u);
-}
+TEST(TokenizerTest, EmptyInput) { EXPECT_EQ(ParseHtml("").node_count(), 1); }
 
-TEST(TokenizerTest, EmptyInput) {
-  auto tokens = Lex("");
-  EXPECT_TRUE(tokens.empty());
-}
-
-// Garbage bytes must never crash or loop; they degrade into tokens.
+// Garbage bytes must never crash or loop; they degrade into a tree.
 class TokenizerFuzzLite : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TokenizerFuzzLite, ArbitraryBytesAlwaysTerminate) {
@@ -183,10 +167,11 @@ TEST_P(TokenizerFuzzLite, ArbitraryBytesAlwaysTerminate) {
     char c = static_cast<char>((state >> 33) & 0xFF);
     junk.push_back(c);
   }
-  auto tokens = Lex(junk);
-  // Consumed everything: sum of text lengths cannot exceed the input and
-  // the token list is finite (checked implicitly by returning).
-  EXPECT_LE(tokens.size(), junk.size());
+  TagTree tree = ParseHtml(junk);
+  // Every node past the synthesized root, head and body costs input bytes.
+  EXPECT_LE(tree.node_count(), static_cast<int>(junk.size()) + 3);
+  EXPECT_LE(tree.node(tree.root()).content_length,
+            static_cast<int>(junk.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TokenizerFuzzLite,
@@ -194,77 +179,59 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TokenizerFuzzLite,
 
 // --- truncation regressions --------------------------------------------
 // Hostile transports cut transfers at arbitrary byte offsets; every
-// truncation artifact must degrade into best-effort tokens, never hang or
+// truncation artifact must degrade into a best-effort tree, never hang or
 // read out of bounds.
 
 TEST(TokenizerTruncationTest, UnterminatedTagAtEof) {
-  auto tokens = Lex("<div class");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kStartTag);
-  EXPECT_EQ(tokens[0].name, "div");
-  ASSERT_EQ(tokens[0].attributes.size(), 1u);
-  EXPECT_EQ(tokens[0].attributes[0].name, "class");
-  EXPECT_EQ(tokens[0].attributes[0].value, "");
+  TagTree tree = ParseHtml("<div class");
+  NodeId div = First(tree, Tag::kDiv);
+  ASSERT_NE(div, kInvalidNode);
+  ASSERT_EQ(tree.node(div).attributes.size(), 1u);
+  EXPECT_EQ(tree.node(div).attributes[0].name, "class");
+  EXPECT_EQ(tree.node(div).attributes[0].value, "");
 }
 
 TEST(TokenizerTruncationTest, TagNameCutAtEof) {
-  auto tokens = Lex("text<di");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kText);
-  EXPECT_EQ(tokens[1].kind, TokenKind::kStartTag);
-  EXPECT_EQ(tokens[1].name, "di");
+  EXPECT_EQ(Shape("text<di"), "<html><body>text<di></di></body></html>");
 }
 
 TEST(TokenizerTruncationTest, AttributeQuoteCutMidValue) {
-  auto tokens = Lex("<a href=\"/partial/pa");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kStartTag);
-  ASSERT_EQ(tokens[0].attributes.size(), 1u);
-  EXPECT_EQ(tokens[0].attributes[0].name, "href");
-  EXPECT_EQ(tokens[0].attributes[0].value, "/partial/pa");
+  TagTree tree = ParseHtml("<a href=\"/partial/pa");
+  NodeId a = First(tree, Tag::kA);
+  ASSERT_NE(a, kInvalidNode);
+  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
+  EXPECT_EQ(tree.AttributeValue(a, "href"), "/partial/pa");
 }
 
 TEST(TokenizerTruncationTest, AttributeCutBeforeValue) {
-  auto tokens = Lex("<a href=");
-  ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(tokens[0].attributes.size(), 1u);
-  EXPECT_EQ(tokens[0].attributes[0].value, "");
+  TagTree tree = ParseHtml("<a href=");
+  NodeId a = First(tree, Tag::kA);
+  ASSERT_NE(a, kInvalidNode);
+  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
+  EXPECT_EQ(tree.node(a).attributes[0].value, "");
 }
 
 TEST(TokenizerTruncationTest, EntityCutAtEof) {
-  auto tokens = Lex("price &am");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kText);
   // Not a known entity prefix with terminator: kept literally.
-  EXPECT_EQ(tokens[0].text, "price &am");
+  EXPECT_EQ(Text("price &am"), "price &am");
 }
 
 TEST(TokenizerTruncationTest, NumericEntityCutAtEof) {
-  auto tokens = Lex("x &#6");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kText);
+  EXPECT_EQ(Text("x &#6"), "x \x06");
 }
 
 TEST(TokenizerTruncationTest, CommentCutAtEof) {
-  auto tokens = Lex("<!-- cut mid-comm");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kComment);
-  EXPECT_EQ(tokens[0].text, " cut mid-comm");
+  EXPECT_EQ(ParseHtml("<!-- cut mid-comm").node_count(), 1);
 }
 
 TEST(TokenizerTruncationTest, EndTagCutAtEof) {
-  auto tokens = Lex("</tabl");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kEndTag);
-  EXPECT_EQ(tokens[0].name, "tabl");
+  EXPECT_EQ(Shape("<p>a</tabl"), "<html><body><p>a</p></body></html>");
 }
 
 TEST(TokenizerTruncationTest, RawTextCutAtEof) {
-  auto tokens = Lex("<script>var x = '<");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kStartTag);
-  EXPECT_EQ(tokens[1].kind, TokenKind::kText);
-  EXPECT_EQ(tokens[1].text, "var x = '<");
+  EXPECT_EQ(Text("<title>var x = '<"), "var x = '<");
+  EXPECT_EQ(Shape("<script>var x = '<"),
+            "<html><body><script></script></body></html>");
 }
 
 TEST(TokenizerTruncationTest, EveryPrefixOfRealMarkupTerminates) {
@@ -273,9 +240,12 @@ TEST(TokenizerTruncationTest, EveryPrefixOfRealMarkupTerminates) {
       "<table class=\"r\"><tr><td><a href='/x?q=1'>A &lt; B</a></td></tr>"
       "</table><script>if (a < b) { f(); }</script><!-- tail --></body>";
   for (size_t cut = 0; cut <= html.size(); ++cut) {
-    auto tokens = Lex(std::string_view(html).substr(0, cut));
-    EXPECT_LE(tokens.size(), cut + 1) << "cut at " << cut;
+    TagTree tree = ParseHtml(std::string_view(html).substr(0, cut));
+    EXPECT_LE(tree.node_count(), static_cast<int>(cut) + 3) << "cut at " << cut;
   }
+  TagTree full = ParseHtml(html);
+  EXPECT_EQ(full.AttributeValue(First(full, Tag::kA), "href"), "/x?q=1");
+  EXPECT_EQ(full.AttributeValue(First(full, Tag::kTable), "class"), "r");
 }
 
 }  // namespace

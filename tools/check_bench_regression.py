@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""CI gate: the hot extraction path must stay fast relative to legacy.
+"""CI gate: the hot extraction path must stay fast relative to the host.
 
-Reads a google-benchmark JSON report containing BM_ParseLocate (legacy
-parse + locate) and BM_HotParseLocate (arena parse + locate), computes the
-hot/legacy time ratio, and compares it against the committed baseline in
-BENCH_micro_baseline.json. The *ratio* is what gets committed, not raw
-nanoseconds: both sides run in the same process on the same host, so the
-number is meaningful across differently-sized CI runners where absolute
-timings are not.
+Reads a google-benchmark JSON report containing BM_HotParseLocate (the
+serving parse + locate) and BM_ReferenceScan (one FNV-1a-64 pass plus a
+'<' count over the same page bytes, written in bench_micro.cc and sharing
+no code with src/), each run with --benchmark_repetitions. It takes the
+median of the repetitions for both, computes the hot/scan time ratio, and
+compares it against the committed baseline in BENCH_micro_baseline.json.
+The *ratio* is what gets committed, not raw nanoseconds: both sides run in
+the same process on the same host, so the number is meaningful across
+differently-sized CI runners where absolute timings are not, and only the
+hot side moves when the parser or locator regresses.
 
 Fails (exit 1) when the measured ratio exceeds the baseline ratio by more
 than the baseline's allowed_regression fraction (default 0.2 = 20%).
 
 Usage:
-  bench_micro --benchmark_filter='BM_(Hot)?ParseLocate' \
+  bench_micro --benchmark_filter='BM_HotParseLocate$|BM_ReferenceScan' \
+      --benchmark_repetitions=9 --benchmark_report_aggregates_only=true \
       --benchmark_format=json > report.json
   check_bench_regression.py report.json BENCH_micro_baseline.json
 
@@ -67,11 +71,17 @@ SCALING_BENCH = "BM_ThreadedHotParseLocate"
 SCALING_EFFICIENCY = 0.5
 
 
-def real_time(report, name):
+def median_time(report, name):
     for bench in report.get("benchmarks", []):
-        if bench.get("name") == name:
+        if (
+            bench.get("run_name") == name
+            and bench.get("aggregate_name") == "median"
+        ):
             return float(bench["real_time"])
-    raise SystemExit(f"error: benchmark '{name}' missing from report")
+    raise SystemExit(
+        f"error: no median for benchmark '{name}' in report "
+        "(run bench_micro with --benchmark_repetitions)"
+    )
 
 
 def check_serve_network(path):
@@ -229,16 +239,16 @@ def main(argv):
     with open(argv[2]) as f:
         baseline = json.load(f)
 
-    hot = real_time(report, "BM_HotParseLocate")
-    legacy = real_time(report, "BM_ParseLocate")
-    if legacy <= 0:
-        raise SystemExit("error: non-positive legacy time in report")
-    ratio = hot / legacy
+    hot = median_time(report, "BM_HotParseLocate")
+    scan = median_time(report, "BM_ReferenceScan")
+    if scan <= 0:
+        raise SystemExit("error: non-positive reference scan time in report")
+    ratio = hot / scan
 
-    base = float(baseline["hot_over_legacy_parse_locate"])
+    base = float(baseline["hot_over_reference_scan"])
     allowed = base * (1.0 + float(baseline.get("allowed_regression", 0.2)))
     print(
-        f"hot/legacy parse+locate ratio: {ratio:.3f} "
+        f"hot parse+locate / reference scan ratio: {ratio:.3f} "
         f"(baseline {base:.3f}, limit {allowed:.3f})"
     )
     if ratio > allowed:

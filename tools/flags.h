@@ -1,10 +1,12 @@
-// Strict numeric flag values for the daemons (thord, thor-router).
+// Strict numeric flag values for the command-line tools (thorcli, thord,
+// thor-router).
 //
 // atoi-style parsing turns garbage into 0 without a word: `--cache abc`
-// would disable the template cache and `--listen abc` would bind an
-// ephemeral port. These helpers accept a value only when the whole string
-// parses and lands in [lo, hi]; anything else prints the offending flag,
-// then the daemon's usage, and exits with the usage's code (2).
+// would disable the template cache, `--listen abc` would bind an
+// ephemeral port and `--timeout-ms abc` would give a 0 ms deadline. These
+// helpers accept a value only when the whole string parses and lands in
+// [lo, hi]; anything else prints the offending flag, then the tool's
+// usage, and exits with the usage's code (2).
 #ifndef THOR_TOOLS_FLAGS_H_
 #define THOR_TOOLS_FLAGS_H_
 

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,11 +47,14 @@
 #include "src/util/json_reader.h"
 #include "src/util/metrics.h"
 #include "src/util/trace.h"
+#include "tools/flags.h"
 
 namespace thor {
 namespace {
 
 namespace fs = std::filesystem;
+
+constexpr int64_t kSeedMax = std::numeric_limits<int64_t>::max();
 
 int Usage() {
   std::fprintf(stderr,
@@ -407,19 +411,23 @@ int RunProbe(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--http")) {
       use_http = true;
     } else if (!std::strcmp(argv[i], "--sites") && i + 1 < argc) {
-      num_sites = std::atoi(argv[++i]);
+      num_sites = static_cast<int>(
+          flags::Int("--sites", argv[++i], 1, flags::kIntMax, Usage));
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "--queries") && i + 1 < argc) {
-      num_queries = std::atoi(argv[++i]);
+      num_queries = static_cast<int>(
+          flags::Int("--queries", argv[++i], 1, flags::kIntMax, Usage));
     } else if (!std::strcmp(argv[i], "--drift-seed") && i + 1 < argc) {
-      drift_seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+      drift_seed = static_cast<uint64_t>(
+          flags::Int("--drift-seed", argv[++i], 0, kSeedMax, Usage));
     } else if (!std::strcmp(argv[i], "--drift-rate") && i + 1 < argc) {
-      drift_rate = std::atof(argv[++i]);
+      drift_rate = flags::Double("--drift-rate", argv[++i], 0.0, 1.0, Usage);
     } else if (!std::strcmp(argv[i], "--drift-ab") && i + 1 < argc) {
-      drift_ab = std::atof(argv[++i]);
+      drift_ab = flags::Double("--drift-ab", argv[++i], 0.0, 1.0, Usage);
     } else if (!std::strcmp(argv[i], "--epoch") && i + 1 < argc) {
-      epoch = std::atoi(argv[++i]);
+      epoch = static_cast<int>(
+          flags::Int("--epoch", argv[++i], 0, flags::kIntMax, Usage));
     }
   }
   deepweb::FleetOptions fleet_options;
@@ -511,11 +519,13 @@ int RunSend(int argc, char** argv) {
   double timeout_ms = 30000.0;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      port = static_cast<int>(
+          flags::Int("--port", argv[++i], 1, 65535, Usage));
     } else if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
       host = argv[++i];
     } else if (!std::strcmp(argv[i], "--timeout-ms") && i + 1 < argc) {
-      timeout_ms = std::atof(argv[++i]);
+      timeout_ms =
+          flags::Double("--timeout-ms", argv[++i], 1.0, flags::kMaxMs, Usage);
     }
   }
   if (port <= 0 || port > 65535) return Usage();
@@ -585,13 +595,15 @@ int RunFetch(int argc, char** argv) {
   double timeout_ms = 10000.0;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      port = static_cast<int>(
+          flags::Int("--port", argv[++i], 1, 65535, Usage));
     } else if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
       host = argv[++i];
     } else if (!std::strcmp(argv[i], "--path") && i + 1 < argc) {
       path = argv[++i];
     } else if (!std::strcmp(argv[i], "--timeout-ms") && i + 1 < argc) {
-      timeout_ms = std::atof(argv[++i]);
+      timeout_ms =
+          flags::Double("--timeout-ms", argv[++i], 1.0, flags::kMaxMs, Usage);
     }
   }
   if (port <= 0 || port > 65535 || path.empty()) return Usage();
@@ -733,15 +745,19 @@ int RunEval(int argc, char** argv) {
   bool print_metrics = false;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--sites") && i + 1 < argc) {
-      num_sites = std::atoi(argv[++i]);
+      num_sites = static_cast<int>(
+          flags::Int("--sites", argv[++i], 1, flags::kIntMax, Usage));
     } else if (!std::strcmp(argv[i], "--fault-rate") && i + 1 < argc) {
-      fault_rate = std::atof(argv[++i]);
+      fault_rate = flags::Double("--fault-rate", argv[++i], 0.0, 1.0, Usage);
     } else if (!std::strcmp(argv[i], "--retry-budget") && i + 1 < argc) {
-      retry_budget = std::atoi(argv[++i]);
+      retry_budget = static_cast<int>(
+          flags::Int("--retry-budget", argv[++i], 0, flags::kIntMax, Usage));
     } else if (!std::strcmp(argv[i], "--deadline-ms") && i + 1 < argc) {
-      deadline_ms = std::atof(argv[++i]);
+      deadline_ms =
+          flags::Double("--deadline-ms", argv[++i], 0.0, flags::kMaxMs, Usage);
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+      seed = static_cast<uint64_t>(
+          flags::Int("--seed", argv[++i], 0, kSeedMax, Usage));
     } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
       trace_file = argv[++i];
     } else if (!std::strcmp(argv[i], "--metrics")) {
