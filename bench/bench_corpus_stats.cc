@@ -31,7 +31,7 @@ int Main(int argc, char** argv) {
       distinct_terms += core::DistinctTermCount(page.tree);
       bytes += page.size_bytes;
       parse_seconds += bench::TimeSeconds([&] {
-        html::TagTree reparsed = html::ParseHtml(page.html);
+        html::ArenaTree reparsed = html::ParseHtml(page.html);
         (void)reparsed;
       });
     }

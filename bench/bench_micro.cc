@@ -48,22 +48,11 @@ const std::string& MultiMatchHtml() {
   return html;
 }
 
-const html::TagTree& MultiMatchTree() {
+const html::ArenaTree& MultiMatchTree() {
   static const auto& tree =
-      *new html::TagTree(html::ParseHtml(MultiMatchHtml()));
+      *new html::ArenaTree(html::ParseHtml(MultiMatchHtml()));
   return tree;
 }
-
-void BM_ParseHtml(benchmark::State& state) {
-  const std::string& html = MultiMatchHtml();
-  for (auto _ : state) {
-    html::TagTree tree = html::ParseHtml(html);
-    benchmark::DoNotOptimize(tree.node_count());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(html.size()));
-}
-BENCHMARK(BM_ParseHtml);
 
 void BM_HotParseHtml(benchmark::State& state) {
   const std::string& html = MultiMatchHtml();
@@ -90,23 +79,8 @@ const core::TemplateRegistry& BenchRegistry() {
   return registry;
 }
 
-// Parse + locate through the reference composition the learner uses:
-// ParseHtml (HotParser plus the TagTree copy) and LocateDetailed.
-void BM_ParseLocate(benchmark::State& state) {
-  const std::string& html = MultiMatchHtml();
-  const core::TemplateRegistry& registry = BenchRegistry();
-  for (auto _ : state) {
-    html::TagTree tree = html::ParseHtml(html);
-    auto located = registry.LocateDetailed(tree);
-    benchmark::DoNotOptimize(located.template_index);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(html.size()));
-}
-BENCHMARK(BM_ParseLocate);
-
-// Same work on the serving pipeline. tools/check_bench_regression.py gates
-// CI on the BM_HotParseLocate : BM_ReferenceScan ratio of repetition
+// Parse + locate on the serving pipeline. tools/check_bench_regression.py
+// gates CI on the BM_HotParseLocate : BM_ReferenceScan ratio of repetition
 // medians staying within 20% of the committed BENCH_micro_baseline.json.
 void BM_HotParseLocate(benchmark::State& state) {
   const std::string& html = MultiMatchHtml();
@@ -161,7 +135,7 @@ void ScalingThreads(benchmark::internal::Benchmark* bench) {
 BENCHMARK(BM_ThreadedHotParseLocate)->Apply(ScalingThreads)->UseRealTime();
 
 void BM_TagSignature(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   for (auto _ : state) {
     auto vector = core::TagCountVector(tree);
     benchmark::DoNotOptimize(vector.size());
@@ -170,7 +144,7 @@ void BM_TagSignature(benchmark::State& state) {
 BENCHMARK(BM_TagSignature);
 
 void BM_TermSignature(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   for (auto _ : state) {
     ir::Vocabulary vocab;
     auto vector = core::TermCountVector(tree, &vocab);
@@ -238,7 +212,7 @@ void BM_EditDistanceUrls(benchmark::State& state) {
 BENCHMARK(BM_EditDistanceUrls);
 
 void BM_ShapeDistance(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   auto candidates = core::CandidateSubtrees(tree);
   std::vector<core::ShapeQuad> quads;
   for (html::NodeId id : candidates) {
@@ -255,7 +229,7 @@ void BM_ShapeDistance(benchmark::State& state) {
 BENCHMARK(BM_ShapeDistance);
 
 void BM_SinglePageAnalysis(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   for (auto _ : state) {
     auto candidates = core::CandidateSubtrees(tree);
     benchmark::DoNotOptimize(candidates.size());
@@ -264,12 +238,12 @@ void BM_SinglePageAnalysis(benchmark::State& state) {
 BENCHMARK(BM_SinglePageAnalysis);
 
 void BM_ZhangShasha(benchmark::State& state) {
-  treedist::OrderedTree a = treedist::OrderedTree::FromTagTree(
+  treedist::OrderedTree a = treedist::OrderedTree::FromArenaTree(
       MultiMatchTree(), MultiMatchTree().root());
-  html::TagTree other_tree =
+  html::ArenaTree other_tree =
       html::ParseHtml(BenchSite().Query("guitar").html);
   treedist::OrderedTree b =
-      treedist::OrderedTree::FromTagTree(other_tree, other_tree.root());
+      treedist::OrderedTree::FromArenaTree(other_tree, other_tree.root());
   for (auto _ : state) {
     benchmark::DoNotOptimize(treedist::TreeEditDistance(a, b));
   }

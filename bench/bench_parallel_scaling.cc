@@ -102,7 +102,7 @@ int Main(int argc, char** argv) {
         (void)clustering;
       });
 
-      std::vector<const html::TagTree*> trees;
+      std::vector<const html::ArenaTree*> trees;
       for (const auto& page : pages) trees.push_back(&page.tree);
       row.phase2 += bench::TimeSeconds([&] {
         auto phase2 = core::RunPhase2(trees, options.phase2);

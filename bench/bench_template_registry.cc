@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "bench/bench_util.h"
+#include "src/core/hot_extractor.h"
 #include "src/core/template_registry.h"
 #include "src/text/word_lists.h"
 
@@ -37,13 +38,15 @@ int Main(int argc, char** argv) {
       auto pages = core::ToPages(sample);
       auto result = core::RunThor(pages, core::ThorOptions{});
       if (!result.ok()) continue;
-      auto registry = core::TemplateRegistry::Learn(pages, *result);
+      auto compiled = core::CompiledTemplates::Compile(
+          core::TemplateRegistry::Learn(pages, *result));
+      core::HotExtractor extractor;
       Rng rng(42 + static_cast<uint64_t>(site.config().site_id));
       for (int q = 0; q < 100; ++q) {
         std::string word = (q % 7 == 6) ? text::MakeNonsenseWord(&rng)
                                         : text::RandomWord(&rng);
         deepweb::LabeledPage page = deepweb::LabelPage(site.Query(word));
-        html::NodeId node = registry.Locate(page.tree);
+        html::NodeId node = extractor.Locate(page.tree, compiled).node;
         if (page.pagelet_node != html::kInvalidNode) {
           ++answers;
           if (node != html::kInvalidNode) {
@@ -73,14 +76,16 @@ int Main(int argc, char** argv) {
     auto sample = deepweb::BuildSiteSample(site, probe);
     auto pages = core::ToPages(sample);
     auto result = core::RunThor(pages, core::ThorOptions{});
-    auto registry = core::TemplateRegistry::Learn(pages, *result);
+    auto compiled = core::CompiledTemplates::Compile(
+        core::TemplateRegistry::Learn(pages, *result));
+    core::HotExtractor extractor;
     double full_seconds = bench::TimeSeconds([&] {
       auto rerun = core::RunThor(pages, core::ThorOptions{});
       (void)rerun;
     });
     double apply_seconds = bench::TimeSeconds([&] {
       for (const auto& page : pages) {
-        auto located = registry.Locate(page.tree);
+        auto located = extractor.Locate(page.tree, compiled);
         (void)located;
       }
     });

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
 #include "src/deepweb/corpus.h"
@@ -51,6 +52,8 @@ int main() {
   }
 
   // --- serving: fresh queries through the fast path ---------------------
+  core::CompiledTemplates compiled = core::CompiledTemplates::Compile(registry);
+  core::HotExtractor extractor;
   Rng rng(2026);
   int answers = 0;
   int correct = 0;
@@ -63,16 +66,18 @@ int main() {
     auto response = site.Query(word);
     deepweb::LabeledPage page = deepweb::LabelPage(response);
     auto t1 = Clock::now();
-    auto extraction = registry.Extract(page.tree);
+    // Node ids of the extractor's parse and of page.tree agree: both come
+    // from the one parser over the same bytes.
+    auto extraction = extractor.Extract(response.html, compiled);
     serve_ms +=
         std::chrono::duration<double, std::milli>(Clock::now() - t1).count();
     if (page.pagelet_node != html::kInvalidNode) ++answers;
-    if (extraction.pagelet == html::kInvalidNode) {
+    if (!extraction.hit) {
       if (page.pagelet_node == html::kInvalidNode) ++skipped_no_match;
       continue;
     }
     ++located;
-    if (core::PageletMatches(page.tree, extraction.pagelet,
+    if (core::PageletMatches(page.tree, extraction.located.node,
                              page.pagelet_node)) {
       ++correct;
     }

@@ -11,9 +11,9 @@
 
 namespace thor::core {
 
-ShapeQuad MakeShapeQuad(const html::TagTree& tree, html::NodeId node) {
+ShapeQuad MakeShapeQuad(const html::ArenaTree& tree, html::NodeId node) {
   ShapeQuad quad;
-  quad.path_symbols = tree.PathSymbols(node);
+  quad.path_symbols = std::string(tree.PathSymbols(node));
   quad.fanout = tree.Fanout(node);
   quad.depth = tree.Depth(node);
   quad.num_nodes = tree.SubtreeSize(node);
@@ -21,24 +21,6 @@ ShapeQuad MakeShapeQuad(const html::TagTree& tree, html::NodeId node) {
 }
 
 namespace {
-
-double RatioTerm(int a, int b) {
-  int hi = std::max(a, b);
-  if (hi == 0) return 0.0;
-  return static_cast<double>(std::abs(a - b)) / hi;
-}
-
-// Shape distance with the (expensive) path term supplied by the caller —
-// the matching loop reads it from the interned-pair cache instead of
-// recomputing the edit distance for every candidate pair.
-double ShapeDistanceWithPathTerm(const ShapeQuad& a, const ShapeQuad& b,
-                                 double path_term,
-                                 const ShapeDistanceWeights& weights) {
-  return weights.path * path_term +
-         weights.fanout * RatioTerm(a.fanout, b.fanout) +
-         weights.depth * RatioTerm(a.depth, b.depth) +
-         weights.nodes * RatioTerm(a.num_nodes, b.num_nodes);
-}
 
 // Interns path-symbol strings to dense ids so edit distances can be cached
 // per distinct pair instead of per candidate pair. Views point into the
@@ -74,7 +56,7 @@ double ShapeDistance(const ShapeQuad& a, const ShapeQuad& b,
 }
 
 std::vector<CommonSubtreeSet> FindCommonSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<std::vector<html::NodeId>>& candidates,
     const CommonSubtreeOptions& options) {
   std::vector<CommonSubtreeSet> sets;

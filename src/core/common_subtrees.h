@@ -1,10 +1,13 @@
 #ifndef THOR_CORE_COMMON_SUBTREES_H_
 #define THOR_CORE_COMMON_SUBTREES_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 #include "src/util/metrics.h"
 
 namespace thor::core {
@@ -26,7 +29,23 @@ struct ShapeQuad {
 };
 
 /// Builds the quadruple for the subtree of `tree` rooted at `node`.
-ShapeQuad MakeShapeQuad(const html::TagTree& tree, html::NodeId node);
+ShapeQuad MakeShapeQuad(const html::ArenaTree& tree, html::NodeId node);
+
+/// The same quadruple with the path left interned in its tree (compare
+/// paths through ArenaTree::path): what the per-page hot loops of locate
+/// and object partitioning use, so they copy no path strings.
+struct NodeShape {
+  uint32_t path_id = 0;
+  int32_t fanout = 0;
+  int32_t depth = 0;
+  int32_t num_nodes = 0;
+};
+
+inline NodeShape MakeNodeShape(const html::ArenaTree& tree,
+                               html::NodeId node) {
+  const html::ArenaNode& n = tree.node(node);
+  return {n.path_id, n.fanout, n.depth, n.subtree_size};
+}
 
 /// Term weights of the shape distance; must sum to 1 for the distance to
 /// stay within [0, 1]. The paper starts with equal weights.
@@ -43,6 +62,27 @@ struct ShapeDistanceWeights {
   static ShapeDistanceWeights NodesOnly() { return {0, 0, 0, 1}; }
   static ShapeDistanceWeights All() { return {0.25, 0.25, 0.25, 0.25}; }
 };
+
+/// |a - b| / max(a, b), 0 when both are 0: the fanout, depth and node
+/// terms of the shape distance.
+inline double RatioTerm(int a, int b) {
+  int hi = std::max(a, b);
+  if (hi == 0) return 0.0;
+  return static_cast<double>(std::abs(a - b)) / hi;
+}
+
+/// The shape distance with the (expensive) path term supplied by the
+/// caller, which memoizes it per distinct path pair. `A` and `B` are any
+/// of ShapeQuad / NodeShape; every caller sums the terms in this one order,
+/// so all of them produce bit-identical distances.
+template <typename A, typename B>
+double ShapeDistanceWithPathTerm(const A& a, const B& b, double path_term,
+                                 const ShapeDistanceWeights& weights) {
+  return weights.path * path_term +
+         weights.fanout * RatioTerm(a.fanout, b.fanout) +
+         weights.depth * RatioTerm(a.depth, b.depth) +
+         weights.nodes * RatioTerm(a.num_nodes, b.num_nodes);
+}
 
 /// The paper's weighted subtree distance in [0, 1]:
 ///   w1 * editDist(P_i, P_j) / max(len) + w2 * |F_i - F_j| / max(F)
@@ -98,7 +138,7 @@ struct CommonSubtreeOptions {
 ///
 /// `candidates[i]` are the single-page-analysis survivors of `trees[i]`.
 std::vector<CommonSubtreeSet> FindCommonSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<std::vector<html::NodeId>>& candidates,
     const CommonSubtreeOptions& options = {});
 

@@ -6,7 +6,7 @@
 
 namespace thor::core {
 
-bool PageletMatches(const html::TagTree& tree, html::NodeId extracted,
+bool PageletMatches(const html::ArenaTree& tree, html::NodeId extracted,
                     html::NodeId truth, const EvalOptions& options) {
   if (extracted == html::kInvalidNode || truth == html::kInvalidNode) {
     return false;

@@ -45,15 +45,18 @@ class CompiledTemplates {
   std::vector<CompiledTemplate> templates_;
 };
 
-/// \brief One-pass parse → signature → locate → partition engine.
+/// \brief One-pass parse → signature → locate → partition engine: the only
+/// code that applies a learned template to a page.
 ///
-/// Produces results bit-identical to the legacy pipeline
-/// (Page::Parse + TemplateRegistry::LocateDetailed + PartitionObjects +
-/// ObjectTexts) — the contract the differential harness enforces — while
-/// reusing one arena, one parser, and all scratch buffers across calls.
-/// Path comparisons run on the page-local interned path table: the exact
-/// -path flag and the prototype edit-distance term are computed once per
-/// distinct path id per template instead of once per candidate.
+/// Candidate filtering (CandidateSubtrees), Stage-3 partitioning
+/// (PartitionObjects) and object texts (ObjectText) are the functions
+/// learning runs, called here with scratch buffers that live as long as
+/// the extractor, so after a warm-up page serving allocates only its
+/// output. Path comparisons run on the page-local interned path table: the
+/// exact-path flag and the prototype edit-distance term are computed once
+/// per distinct path id per template instead of once per candidate.
+/// tests/hotpath_diff_test.cc pins every response field against a golden
+/// file.
 ///
 /// Not thread-safe; keep one HotExtractor per worker thread (it is designed
 /// to live in a thread_local and survive across ExtractBatch calls).
@@ -62,11 +65,10 @@ class HotExtractor {
   struct Result {
     /// Located.node != kInvalidNode.
     bool hit = false;
-    /// Same fields (bitwise) as TemplateRegistry::LocateDetailed.
     TemplateRegistry::Located located;
-    /// TagTree::PathString of the pagelet (empty on a miss).
+    /// ArenaTree::PathString of the pagelet (empty on a miss).
     std::string pagelet_path;
-    /// ObjectTexts of the partitioned pagelet (empty on a miss).
+    /// ObjectText of each partitioned object (empty on a miss).
     std::vector<std::string> objects;
   };
 
@@ -75,58 +77,37 @@ class HotExtractor {
                  const TemplateApplyOptions& apply = {},
                  const ObjectPartitionOptions& partition = {});
 
-  /// Pieces exposed for the differential harness and benches. The returned
-  /// tree is valid until the next Parse/Extract call.
+  /// Parses into the extractor's own tree, valid until the next
+  /// Parse/Extract call.
   const html::ArenaTree& Parse(std::string_view html,
                                const html::ParseOptions& options = {});
+  /// The template match for a page: candidates are filtered as in
+  /// single-page analysis, then matched against each template in order
+  /// (page skeleton gate, exact path first, then nearest shape within the
+  /// template's distance budget). `tree` may be any ArenaTree, e.g. a
+  /// core::Page's. A miss (e.g. a no-match page) has node kInvalidNode.
   TemplateRegistry::Located Locate(const html::ArenaTree& tree,
                                    const CompiledTemplates& templates,
                                    const TemplateApplyOptions& apply = {});
-  /// Whole-page tag-count signature of the last parsed tree; bit-identical
-  /// to signature_builder's TagCountVector on the legacy tree.
-  ir::SparseVector PageTagCounts() const;
 
  private:
-  struct HotQuad {
-    uint32_t path_id = 0;
-    int32_t fanout = 0;
-    int32_t depth = 0;
-    int32_t num_nodes = 0;
-  };
-
-  void GatherCandidates(const html::ArenaTree& tree,
-                        const SubtreeFilterOptions& options);
   bool PassesStableGate(const html::ArenaTree& tree,
                         const CompiledTemplate& tmpl) const;
   double PathTerm(const html::ArenaTree& tree, const CompiledTemplate& tmpl,
                   uint32_t path_id);
-  double Distance(const html::ArenaTree& tree, const CompiledTemplate& tmpl,
-                  const HotQuad& quad, const ShapeDistanceWeights& weights);
-  void Partition(const html::ArenaTree& tree, html::NodeId pagelet,
-                 const ObjectPartitionOptions& options);
-  void AppendObjectTexts(const html::ArenaTree& tree,
-                         std::vector<std::string>* out);
 
   html::HotParser parser_;
 
   // Scratch, reused across calls (cleared, capacity retained).
   std::vector<html::NodeId> candidates_;
-  std::vector<HotQuad> quads_;
+  std::vector<NodeShape> shapes_;
   /// Per-distinct-path memo, reset per template: 0/1 = exact-path flag
   /// against tmpl.path_symbols, 2 = unset.
   std::vector<uint8_t> exact_memo_;
   /// Per-distinct-path memo, reset per template: edit-distance path term
   /// against the template prototype; < 0 = unset.
   std::vector<double> term_memo_;
-  /// Object spans, flattened: parts_[span_offsets_[k] .. span_offsets_[k+1]).
-  std::vector<html::NodeId> parts_;
-  std::vector<int32_t> span_offsets_;
-  std::vector<html::NodeId> children_;
-  std::vector<html::TagId> child_tags_;
-  std::vector<HotQuad> child_quads_;
-  std::vector<size_t> group_;
-  std::vector<size_t> best_group_;
-  std::string text_scratch_;
+  ObjectPartition partition_;
 };
 
 }  // namespace thor::core

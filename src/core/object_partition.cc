@@ -3,25 +3,11 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "src/core/common_subtrees.h"
+#include "src/text/edit_distance.h"
 
 namespace thor::core {
 
 namespace {
-
-// Tag children of the pagelet root that carry content (separators like
-// <hr> or empty spacer cells are not object roots).
-std::vector<html::NodeId> ContentChildren(const html::TagTree& tree,
-                                          html::NodeId pagelet) {
-  std::vector<html::NodeId> children;
-  for (html::NodeId child : tree.node(pagelet).children) {
-    const html::Node& c = tree.node(child);
-    if (c.kind == html::NodeKind::kTag && c.content_length > 0) {
-      children.push_back(child);
-    }
-  }
-  return children;
-}
 
 // Tries to read the child tag sequence as (t1..tp)^m with m >= min_objects.
 // A trailing partial period is tolerated (truncated result lists). Returns
@@ -39,88 +25,122 @@ int MatchPeriod(const std::vector<html::TagId>& tags, int period,
 
 }  // namespace
 
-std::vector<ObjectSpan> PartitionObjects(
-    const html::TagTree& tree, html::NodeId pagelet,
-    const std::vector<html::NodeId>& hints,
-    const ObjectPartitionOptions& options) {
-  std::vector<ObjectSpan> objects;
-  if (pagelet == html::kInvalidNode) return objects;
-  std::vector<html::NodeId> children = ContentChildren(tree, pagelet);
+void PartitionObjects(const html::ArenaTree& tree, html::NodeId pagelet,
+                      const std::vector<html::NodeId>& hints,
+                      const ObjectPartitionOptions& options,
+                      ObjectPartition* out) {
+  out->parts.clear();
+  out->offsets.assign(1, 0);
+  if (pagelet == html::kInvalidNode) return;
+  auto close_object = [out] {
+    out->offsets.push_back(static_cast<int32_t>(out->parts.size()));
+  };
+  // Tag children of the pagelet root that carry content (separators like
+  // <hr> or empty spacer cells are not object roots).
+  std::vector<html::NodeId>& children = out->children;
+  children.clear();
+  for (html::NodeId child : tree.Children(pagelet)) {
+    const html::ArenaNode& c = tree.node(child);
+    if (c.is_tag() && c.content_length > 0) children.push_back(child);
+  }
 
   // 1. Exact repeated tag-period detection. Periods are tried shortest
   // first so <tr><tr>... is period 1, <dt><dd><dt><dd> is period 2.
-  std::vector<html::TagId> tags;
-  tags.reserve(children.size());
-  for (html::NodeId child : children) tags.push_back(tree.node(child).tag);
+  out->tags.clear();
+  for (html::NodeId child : children) out->tags.push_back(tree.node(child).tag);
   for (int period = 1; period <= options.max_period; ++period) {
-    int repeats = MatchPeriod(tags, period, options.min_objects);
+    int repeats = MatchPeriod(out->tags, period, options.min_objects);
     if (repeats < options.min_objects) continue;
-    // Require the period to be a genuine repetition, not an unrelated
-    // sequence that happens to tile (all-same-tag always tiles at 1).
-    for (size_t start = 0; start + 1 <= children.size();
+    for (size_t start = 0; start < children.size();
          start += static_cast<size_t>(period)) {
-      ObjectSpan span;
-      for (size_t off = 0;
-           off < static_cast<size_t>(period) &&
-           start + off < children.size();
+      for (size_t off = 0; off < static_cast<size_t>(period) &&
+                           start + off < children.size();
            ++off) {
-        span.parts.push_back(children[start + off]);
+        out->parts.push_back(children[start + off]);
       }
-      objects.push_back(std::move(span));
+      close_object();
     }
-    return objects;
+    return;
   }
 
   // 2. Shape-similarity grouping: find the largest group of mutually
   // similar children; if it repeats enough, its members are the objects.
   if (static_cast<int>(children.size()) >= options.min_objects) {
-    std::vector<ShapeQuad> quads;
-    quads.reserve(children.size());
+    out->shapes.clear();
     for (html::NodeId child : children) {
-      quads.push_back(MakeShapeQuad(tree, child));
+      out->shapes.push_back(MakeNodeShape(tree, child));
     }
     // Seed order: Phase-II hints that are direct children first.
-    std::vector<size_t> seed_order;
+    out->seed_order.clear();
     for (html::NodeId hint : hints) {
       for (size_t i = 0; i < children.size(); ++i) {
-        if (children[i] == hint) seed_order.push_back(i);
+        if (children[i] == hint) out->seed_order.push_back(i);
       }
     }
-    for (size_t i = 0; i < children.size(); ++i) seed_order.push_back(i);
+    for (size_t i = 0; i < children.size(); ++i) out->seed_order.push_back(i);
 
-    std::vector<size_t> best_group;
-    for (size_t seed : seed_order) {
-      std::vector<size_t> group;
+    const ShapeDistanceWeights weights;
+    out->best_group.clear();
+    for (size_t seed : out->seed_order) {
+      out->group.clear();
+      const NodeShape& a = out->shapes[seed];
       for (size_t i = 0; i < children.size(); ++i) {
-        if (ShapeDistance(quads[seed], quads[i]) <=
+        const NodeShape& b = out->shapes[i];
+        std::string_view pa = tree.path(a.path_id);
+        std::string_view pb = tree.path(b.path_id);
+        double path_term =
+            pa == pb ? 0.0 : text::NormalizedEditDistance(pa, pb);
+        if (ShapeDistanceWithPathTerm(a, b, path_term, weights) <=
             options.shape_distance_threshold) {
-          group.push_back(i);
+          out->group.push_back(i);
         }
       }
-      if (group.size() > best_group.size()) best_group = std::move(group);
-    }
-    if (static_cast<int>(best_group.size()) >= options.min_objects) {
-      for (size_t index : best_group) {
-        ObjectSpan span;
-        span.parts.push_back(children[index]);
-        objects.push_back(std::move(span));
+      if (out->group.size() > out->best_group.size()) {
+        out->best_group.swap(out->group);
       }
-      return objects;
+    }
+    if (static_cast<int>(out->best_group.size()) >= options.min_objects) {
+      for (size_t index : out->best_group) {
+        out->parts.push_back(children[index]);
+        close_object();
+      }
+      return;
     }
   }
 
   // 3. No repetition: the pagelet is one object (single-match detail).
-  ObjectSpan whole;
-  whole.parts.push_back(pagelet);
-  objects.push_back(std::move(whole));
+  out->parts.push_back(pagelet);
+  close_object();
+}
+
+std::vector<ObjectSpan> PartitionObjects(
+    const html::ArenaTree& tree, html::NodeId pagelet,
+    const std::vector<html::NodeId>& hints,
+    const ObjectPartitionOptions& options) {
+  ObjectPartition partition;
+  PartitionObjects(tree, pagelet, hints, options, &partition);
+  std::vector<ObjectSpan> objects(partition.size());
+  for (size_t k = 0; k < objects.size(); ++k) {
+    std::span<const html::NodeId> parts = partition.object(k);
+    objects[k].parts.assign(parts.begin(), parts.end());
+  }
   return objects;
+}
+
+std::string ObjectText(const html::ArenaTree& tree,
+                       std::span<const html::NodeId> parts) {
+  // AppendSubtreeText puts a space before each text iff the buffer is
+  // non-empty, so one buffer across the parts joins them with spaces.
+  std::string text;
+  for (html::NodeId part : parts) tree.AppendSubtreeText(part, &text);
+  return text;
 }
 
 bool CollapseFieldRowObjects(std::vector<PageObjects>* pages,
                              double stable_fraction_threshold,
                              int min_pages) {
   if (static_cast<int>(pages->size()) < min_pages) return false;
-  auto first_token = [](const html::TagTree& tree, html::NodeId node) {
+  auto first_token = [](const html::ArenaTree& tree, html::NodeId node) {
     std::string text = tree.SubtreeText(node);
     return text.substr(0, text.find(' '));
   };
@@ -166,18 +186,12 @@ bool CollapseFieldRowObjects(std::vector<PageObjects>* pages,
   return true;
 }
 
-std::vector<std::string> ObjectTexts(const html::TagTree& tree,
+std::vector<std::string> ObjectTexts(const html::ArenaTree& tree,
                                      const std::vector<ObjectSpan>& objects) {
   std::vector<std::string> texts;
   texts.reserve(objects.size());
   for (const ObjectSpan& span : objects) {
-    std::string text;
-    for (html::NodeId part : span.parts) {
-      std::string part_text = tree.SubtreeText(part);
-      if (!text.empty() && !part_text.empty()) text.push_back(' ');
-      text.append(part_text);
-    }
-    texts.push_back(std::move(text));
+    texts.push_back(ObjectText(tree, span.parts));
   }
   return texts;
 }

@@ -1,10 +1,13 @@
 #ifndef THOR_CORE_OBJECT_PARTITION_H_
 #define THOR_CORE_OBJECT_PARTITION_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "src/html/tag_tree.h"
+#include "src/core/common_subtrees.h"
+#include "src/html/arena_tree.h"
 
 namespace thor::core {
 
@@ -31,29 +34,64 @@ struct ObjectSpan {
   }
 };
 
+/// A partition in flat form, plus the scratch that computing it reuses:
+/// HotExtractor keeps one per thread, so serving partitions without heap
+/// allocation once the vectors have grown.
+struct ObjectPartition {
+  /// Object k is parts[offsets[k] .. offsets[k + 1]).
+  std::vector<html::NodeId> parts;
+  std::vector<int32_t> offsets;
+
+  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  std::span<const html::NodeId> object(size_t k) const {
+    return std::span<const html::NodeId>(parts).subspan(
+        static_cast<size_t>(offsets[k]),
+        static_cast<size_t>(offsets[k + 1] - offsets[k]));
+  }
+
+  // Scratch.
+  std::vector<html::NodeId> children;
+  std::vector<html::TagId> tags;
+  std::vector<NodeShape> shapes;
+  std::vector<size_t> seed_order;
+  std::vector<size_t> group;
+  std::vector<size_t> best_group;
+};
+
 /// \brief Stage 3: partitions a QA-Pagelet into itemized QA-Objects.
 ///
 /// Detects the repeated structure among the pagelet root's tag children:
 /// first by exact repeated tag-period (handles table rows, list items and
 /// dt/dd pairs), then by shape-similarity grouping (handles ragged item
 /// markup); a pagelet with no repetition (a single-match detail region) is
-/// returned as one object spanning the whole pagelet.
+/// returned as one object spanning the whole pagelet. A kInvalidNode
+/// pagelet yields no objects.
 ///
 /// `hints` may carry Phase-II's dynamic-descendant recommendations; any
 /// hinted node that is a direct child of the pagelet root seeds the
-/// dominant group.
+/// dominant group. Learning and HotExtractor both call this.
+void PartitionObjects(const html::ArenaTree& tree, html::NodeId pagelet,
+                      const std::vector<html::NodeId>& hints,
+                      const ObjectPartitionOptions& options,
+                      ObjectPartition* out);
+
+/// The same partition as a list of spans.
 std::vector<ObjectSpan> PartitionObjects(
-    const html::TagTree& tree, html::NodeId pagelet,
+    const html::ArenaTree& tree, html::NodeId pagelet,
     const std::vector<html::NodeId>& hints = {},
     const ObjectPartitionOptions& options = {});
 
-/// Convenience: the concatenated text of each object.
-std::vector<std::string> ObjectTexts(const html::TagTree& tree,
+/// The text of one object: its parts' content text, space-joined in order.
+std::string ObjectText(const html::ArenaTree& tree,
+                       std::span<const html::NodeId> parts);
+
+/// Convenience: ObjectText of each object.
+std::vector<std::string> ObjectTexts(const html::ArenaTree& tree,
                                      const std::vector<ObjectSpan>& objects);
 
 /// One page's pagelet and partitioned objects, for cross-page validation.
 struct PageObjects {
-  const html::TagTree* tree = nullptr;
+  const html::ArenaTree* tree = nullptr;
   html::NodeId pagelet = html::kInvalidNode;
   std::vector<ObjectSpan> objects;
 };

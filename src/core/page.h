@@ -4,19 +4,20 @@
 #include <string>
 #include <string_view>
 
+#include "src/html/arena_tree.h"
 #include "src/html/parser.h"
-#include "src/html/tag_tree.h"
 
 namespace thor::core {
 
 /// \brief A fetched dynamic page: THOR's unit of input.
 ///
-/// Wraps the raw HTML, its parsed tag tree, and the request metadata the
-/// clustering baselines need (URL, byte size).
+/// Wraps the raw HTML, its parsed tag tree (a page-sized ArenaTree that
+/// owns its text and attribute bytes, so a Page moves and copies freely),
+/// and the request metadata the clustering baselines need (URL, byte size).
 struct Page {
   std::string url;
   std::string html;
-  html::TagTree tree;
+  html::ArenaTree tree;
   int size_bytes = 0;
   /// Stage-1 knowledge: this page answers a nonsense probe word, so it is
   /// a "no matches" (or error) page by construction. RunThor uses the flag

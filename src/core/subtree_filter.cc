@@ -2,13 +2,16 @@
 
 namespace thor::core {
 
-std::vector<html::NodeId> CandidateSubtrees(
-    const html::TagTree& tree, const SubtreeFilterOptions& options) {
-  std::vector<html::NodeId> candidates;
-  for (html::NodeId id : tree.Preorder()) {
-    if (id == tree.root()) continue;  // never the whole page
-    const html::Node& n = tree.node(id);
-    if (n.kind != html::NodeKind::kTag) continue;
+void CandidateSubtrees(const html::ArenaTree& tree,
+                       const SubtreeFilterOptions& options,
+                       std::vector<html::NodeId>* out) {
+  out->clear();
+  const html::NodeId root = tree.root();
+  // The page root itself is never a candidate.
+  for (html::NodeId id = tree.NextPreorder(root, root);
+       id != html::kInvalidNode; id = tree.NextPreorder(id, root)) {
+    const html::ArenaNode& n = tree.node(id);
+    if (!n.is_tag()) continue;
     if (n.tag == html::Tag::kHead || n.tag == html::Tag::kBody) continue;
     if (options.skip_inline_roots && html::IsInlineTag(n.tag)) continue;
     // Rule 1: must contain content.
@@ -23,9 +26,9 @@ std::vector<html::NodeId> CandidateSubtrees(
     bool wrapper = false;
     double threshold =
         options.wrapper_content_fraction * n.content_length;
-    for (html::NodeId child : n.children) {
-      const html::Node& c = tree.node(child);
-      if (c.kind == html::NodeKind::kTag && !html::IsInlineTag(c.tag) &&
+    for (html::NodeId child : tree.Children(id)) {
+      const html::ArenaNode& c = tree.node(child);
+      if (c.is_tag() && !html::IsInlineTag(c.tag) &&
           c.content_length >= threshold) {
         wrapper = true;
         break;
@@ -36,22 +39,20 @@ std::vector<html::NodeId> CandidateSubtrees(
     // are transparent here: a <dt> whose text lives inside an <a> still
     // "owns" that content, because inline elements are never candidates
     // themselves.
-    if (options.require_branching) {
+    if (options.require_branching && n.fanout < 2) {
       bool has_direct_content = false;
-      for (html::NodeId child : n.children) {
-        const html::Node& c = tree.node(child);
-        if (c.kind == html::NodeKind::kContent ||
-            (c.kind == html::NodeKind::kTag && html::IsInlineTag(c.tag) &&
-             c.content_length > 0)) {
+      for (html::NodeId child : tree.Children(id)) {
+        const html::ArenaNode& c = tree.node(child);
+        if (!c.is_tag() ||
+            (html::IsInlineTag(c.tag) && c.content_length > 0)) {
           has_direct_content = true;
           break;
         }
       }
-      if (tree.Fanout(id) < 2 && !has_direct_content) continue;
+      if (!has_direct_content) continue;
     }
-    candidates.push_back(id);
+    out->push_back(id);
   }
-  return candidates;
 }
 
 }  // namespace thor::core

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 
 namespace thor::core {
 
@@ -30,15 +30,26 @@ struct SubtreeFilterOptions {
   bool skip_inline_roots = true;
 };
 
-/// \brief Phase-II single-page analysis: returns the candidate subtrees of
-/// one page, in document order.
+/// \brief Phase-II single-page analysis: the candidate subtrees of one
+/// page, in document order, written to `*out` (cleared first).
 ///
 /// Implements the paper's three filtering rules: drop content-free
 /// subtrees, drop non-minimal subtrees whose entire content lives in a
 /// single child (the child is the better candidate), and require local
 /// branching at the root. The page root itself is never a candidate.
-std::vector<html::NodeId> CandidateSubtrees(
-    const html::TagTree& tree, const SubtreeFilterOptions& options = {});
+/// Learning and HotExtractor::Locate both call this; serving passes a
+/// buffer it reuses, so the scan allocates nothing in steady state.
+void CandidateSubtrees(const html::ArenaTree& tree,
+                       const SubtreeFilterOptions& options,
+                       std::vector<html::NodeId>* out);
+
+/// Convenience form returning a fresh vector.
+inline std::vector<html::NodeId> CandidateSubtrees(
+    const html::ArenaTree& tree, const SubtreeFilterOptions& options = {}) {
+  std::vector<html::NodeId> out;
+  CandidateSubtrees(tree, options, &out);
+  return out;
+}
 
 }  // namespace thor::core
 

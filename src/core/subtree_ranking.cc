@@ -1,9 +1,8 @@
 #include "src/core/subtree_ranking.h"
 
 #include <algorithm>
-#include <string>
-#include <unordered_map>
 
+#include "src/core/signature_builder.h"
 #include "src/ir/similarity.h"
 #include "src/ir/tfidf.h"
 #include "src/ir/vocabulary.h"
@@ -11,28 +10,8 @@
 
 namespace thor::core {
 
-namespace {
-
-// Content term-count vector for one subtree, interned in the set's
-// vocabulary.
-ir::SparseVector SubtreeTermCounts(const html::TagTree& tree,
-                                   html::NodeId node, ir::Vocabulary* vocab,
-                                   const text::TermOptions& options) {
-  std::unordered_map<int32_t, int> counts;
-  for (html::NodeId id : tree.SubtreeNodes(node)) {
-    const html::Node& n = tree.node(id);
-    if (n.kind != html::NodeKind::kContent) continue;
-    for (const std::string& term : text::ExtractTerms(n.text, options)) {
-      ++counts[vocab->Intern(term)];
-    }
-  }
-  return ir::SparseVector::FromCounts(counts);
-}
-
-}  // namespace
-
 std::vector<RankedSubtreeSet> RankSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<CommonSubtreeSet>& sets,
     const SubtreeRankOptions& options) {
   // Every set carries its own vocabulary and TFIDF statistics, exactly as
@@ -52,7 +31,7 @@ std::vector<RankedSubtreeSet> RankSubtreeSets(
         std::vector<ir::SparseVector> counts;
         counts.reserve(set.members.size());
         for (const SubtreeRef& ref : set.members) {
-          counts.push_back(SubtreeTermCounts(
+          counts.push_back(TermCountVector(
               *trees[static_cast<size_t>(ref.page_index)], ref.node, &vocab,
               options.terms));
         }

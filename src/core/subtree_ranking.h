@@ -44,7 +44,7 @@ struct RankedSubtreeSet {
 /// Singleton sets get similarity 1.0: with no cross-page counterpart there
 /// is no evidence of query-dependence.
 std::vector<RankedSubtreeSet> RankSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<CommonSubtreeSet>& sets,
     const SubtreeRankOptions& options = {});
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/object_partition.h"
 #include "src/core/subtree_filter.h"
 #include "src/core/thor.h"
 #include "src/ir/sparse_vector.h"
@@ -45,7 +44,7 @@ struct ExtractionTemplate {
   double min_stable_match = 0.93;
 };
 
-/// Options for applying a template to a fresh page.
+/// Options for applying a template to a fresh page (HotExtractor).
 struct TemplateApplyOptions {
   SubtreeFilterOptions filter;
   ShapeDistanceWeights weights;
@@ -71,15 +70,9 @@ class TemplateRegistry {
   }
   bool empty() const { return templates_.empty(); }
 
-  /// Locates the QA-Pagelet on a fresh page: candidates are filtered as in
-  /// single-page analysis, then matched against each template (exact path
-  /// first, then nearest shape within the template's distance budget).
-  /// Returns kInvalidNode when no template fits — e.g. a no-match page.
-  html::NodeId Locate(const html::TagTree& tree,
-                      const TemplateApplyOptions& options = {}) const;
-
-  /// Everything Locate knows about how well the winning template fit —
-  /// what the serving layer turns into a per-response confidence.
+  /// Where HotExtractor::Locate put a page's QA-Pagelet and how well the
+  /// winning template fit — what the serving layer turns into a
+  /// per-response confidence.
   struct Located {
     html::NodeId node = html::kInvalidNode;
     /// Shape distance between the winning candidate and the winning
@@ -102,18 +95,6 @@ class TemplateRegistry {
     /// canary shadow extraction needs at least this much to count as a hit.
     static constexpr double kLowConfidence = 0.35;
   };
-  Located LocateDetailed(const html::TagTree& tree,
-                         const TemplateApplyOptions& options = {}) const;
-
-  /// Locate + Stage-3 partitioning in one call.
-  struct Extraction {
-    html::NodeId pagelet = html::kInvalidNode;
-    std::vector<ObjectSpan> objects;
-  };
-  Extraction Extract(const html::TagTree& tree,
-                     const TemplateApplyOptions& options = {},
-                     const ObjectPartitionOptions& objects = {}) const;
-
   /// Serializes the registry to a JSON document. Tag dimensions are stored
   /// by name, so the document is portable across processes.
   std::string ToJson() const;

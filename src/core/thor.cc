@@ -8,7 +8,7 @@
 
 namespace thor::core {
 
-Phase2Result RunPhase2(const std::vector<const html::TagTree*>& trees,
+Phase2Result RunPhase2(const std::vector<const html::ArenaTree*>& trees,
                        const Phase2Options& options) {
   Phase2Result result;
   if (trees.empty()) return result;
@@ -54,11 +54,7 @@ namespace {
 /// residue of a truncated/garbled fetch (root alone, or root+body with
 /// nothing in it) is not.
 bool PageUsable(const Page& page, int min_page_nodes) {
-  int tag_nodes = 0;
-  for (html::NodeId id : page.tree.Preorder()) {
-    if (page.tree.node(id).kind == html::NodeKind::kTag) ++tag_nodes;
-  }
-  return tag_nodes >= min_page_nodes;
+  return page.tree.TagNodeCount() >= min_page_nodes;
 }
 
 }  // namespace
@@ -251,7 +247,7 @@ Result<ThorResult> RunThor(const std::vector<Page>& all_pages,
         // stops burning the thread pool on a result nobody will see.
         if (options.deadline.expired()) return cluster_results;
         // Collect this cluster's pages, remembering original indices.
-        std::vector<const html::TagTree*> trees;
+        std::vector<const html::ArenaTree*> trees;
         std::vector<int> original_index;
         for (size_t i = 0; i < pages.size(); ++i) {
           if (result.clustering.assignment[i] == cluster_id) {
@@ -266,7 +262,7 @@ Result<ThorResult> RunThor(const std::vector<Page>& all_pages,
           page_result.page_index =
               original_index[static_cast<size_t>(pagelet.page_index)];
           page_result.pagelet = pagelet.node;
-          const html::TagTree& tree =
+          const html::ArenaTree& tree =
               *trees[static_cast<size_t>(pagelet.page_index)];
           page_result.objects = PartitionObjects(tree, pagelet.node,
                                                  pagelet.dynamic_descendants,

@@ -25,7 +25,7 @@ namespace {
 
 /// Fills in metadata and scans the parsed tree for ground-truth markers.
 LabeledPage FinishLabeledPage(const QueryResponse& response,
-                              html::TagTree tree) {
+                              html::ArenaTree tree) {
   LabeledPage page;
   page.url = response.url;
   page.query = response.query;
@@ -35,8 +35,8 @@ LabeledPage FinishLabeledPage(const QueryResponse& response,
   page.from_nonsense_probe = response.from_nonsense_probe;
   page.tree = std::move(tree);
   for (html::NodeId id : page.tree.Preorder()) {
-    if (page.tree.node(id).kind != html::NodeKind::kTag) continue;
-    std::string_view marker = page.tree.AttributeValue(id, kQaMarkerAttr);
+    if (!page.tree.node(id).is_tag()) continue;
+    std::string marker = page.tree.AttributeValue(id, kQaMarkerAttr);
     if (marker == kQaPageletValue) {
       page.pagelet_node = id;
     } else if (marker == kQaObjectValue) {

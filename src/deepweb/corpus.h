@@ -8,8 +8,8 @@
 #include "src/deepweb/resilient_prober.h"
 #include "src/deepweb/site.h"
 #include "src/deepweb/transport.h"
+#include "src/html/arena_tree.h"
 #include "src/html/parser.h"
-#include "src/html/tag_tree.h"
 #include "src/util/status.h"
 
 namespace thor::deepweb {
@@ -19,13 +19,15 @@ namespace thor::deepweb {
 ///
 /// Ground truth comes from the generator: the renderer marks the
 /// QA-Pagelet root with data-qa="pagelet" and each QA-Object root with
-/// data-qa="object". The THOR algorithms never consult attributes, so the
-/// markers are inert for extraction and visible only to evaluation.
+/// data-qa="object", read from the tree's attribute spans. The THOR
+/// algorithms never consult attributes, so the markers are inert for
+/// extraction and visible only to evaluation. The tree is a page-sized
+/// ArenaTree that owns its text and attribute bytes.
 struct LabeledPage {
   std::string url;
   std::string query;
   std::string html;
-  html::TagTree tree;
+  html::ArenaTree tree;
   PageClass true_class = PageClass::kNoMatch;
   /// Ground-truth QA-Pagelet root, or kInvalidNode for no-match/error pages.
   html::NodeId pagelet_node = html::kInvalidNode;

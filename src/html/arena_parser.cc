@@ -15,65 +15,6 @@ bool IsTagNameChar(char c) {
   return IsAsciiAlnum(c) || c == '-' || c == '_' || c == ':';
 }
 
-/// The one start-tag attribute scanner. Starts just past the tag name and
-/// stops after the closing '>' (or at end of input), calling
-/// `sink(name, raw_value)` once per attribute in source order: the name in
-/// its source casing, the value with quotes stripped but entities still
-/// encoded (empty for a valueless attribute). Sets *self_closing on "/>"
-/// and returns the position after the tag. Every byte it looks at lies
-/// before that position, so rescanning exactly the consumed span replays
-/// the same attributes.
-template <typename Sink>
-size_t ScanAttributes(std::string_view input, size_t pos, bool* self_closing,
-                      Sink&& sink) {
-  while (pos < input.size()) {
-    while (pos < input.size() && IsAsciiSpace(input[pos])) ++pos;
-    if (pos >= input.size()) break;
-    char c = input[pos];
-    if (c == '>') return pos + 1;
-    if (c == '/') {
-      ++pos;
-      if (pos < input.size() && input[pos] == '>') {
-        *self_closing = true;
-        return pos + 1;
-      }
-      continue;  // stray '/': skip
-    }
-    size_t name_start = pos;
-    while (pos < input.size() && input[pos] != '=' && input[pos] != '>' &&
-           input[pos] != '/' && !IsAsciiSpace(input[pos])) {
-      ++pos;
-    }
-    if (pos == name_start) {  // stray byte such as '"': skip it
-      ++pos;
-      continue;
-    }
-    std::string_view name = input.substr(name_start, pos - name_start);
-    std::string_view value;
-    while (pos < input.size() && IsAsciiSpace(input[pos])) ++pos;
-    if (pos < input.size() && input[pos] == '=') {
-      ++pos;
-      while (pos < input.size() && IsAsciiSpace(input[pos])) ++pos;
-      if (pos < input.size() && (input[pos] == '"' || input[pos] == '\'')) {
-        char quote = input[pos++];
-        size_t value_start = pos;
-        while (pos < input.size() && input[pos] != quote) ++pos;
-        value = input.substr(value_start, pos - value_start);
-        if (pos < input.size()) ++pos;  // closing quote
-      } else {
-        size_t value_start = pos;
-        while (pos < input.size() && !IsAsciiSpace(input[pos]) &&
-               input[pos] != '>') {
-          ++pos;
-        }
-        value = input.substr(value_start, pos - value_start);
-      }
-    }
-    sink(name, value);
-  }
-  return pos;
-}
-
 }  // namespace
 
 const ArenaTree& HotParser::Parse(std::string_view input,
@@ -89,7 +30,6 @@ const ArenaTree& HotParser::Parse(std::string_view input,
   head_ = kInvalidNode;
   body_ = kInvalidNode;
   last_raw_text_node_ = kInvalidNode;
-  attribute_spans_.clear();
 
   LexedToken token;
   while (NextToken(&token)) {
@@ -215,8 +155,8 @@ void HotParser::LexStartTag(LexedToken* token) {
   while (pos_ < input_.size() && IsTagNameChar(input_[pos_])) ++pos_;
   token->kind = LexedToken::Kind::kStartTag;
   token->name = input_.substr(start, pos_ - start);
-  // Positions only: names and values are materialized by ToTagTree, from
-  // the span recorded here, and never on the serving path.
+  // Positions only: names and values are decoded from the span recorded
+  // here by ArenaTree::Attributes, and never on the serving path.
   size_t attributes_start = pos_;
   bool has_attributes = false;
   pos_ = ScanAttributes(input_, pos_, &token->self_closing,
@@ -325,9 +265,7 @@ void HotParser::HandleStartTag(const LexedToken& token) {
 }
 
 void HotParser::RecordAttributes(NodeId node, const LexedToken& token) {
-  if (!token.attributes.empty()) {
-    attribute_spans_.push_back({node, token.attributes});
-  }
+  if (!token.attributes.empty()) tree_.AddAttributes(node, token.attributes);
 }
 
 void HotParser::HandleEndTag(std::string_view name) {
@@ -370,7 +308,7 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   // Fused decode + collapse, straight into the arena. Decoding never grows
   // the byte stream and collapsing never grows it either, so the raw size
   // is a safe upper bound; the unused tail is returned to the arena.
-  Arena& arena = tree_.arena();
+  Arena& arena = tree_.mutable_arena();
   char* buf = static_cast<char*>(arena.Allocate(raw.size(), 1));
   size_t n = 0;
   bool in_space = true;  // true so leading whitespace is dropped
@@ -396,32 +334,6 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   if (n == 0) return;
   if (AtRootLevel()) EnsureBody();
   tree_.AddContent(Top(), std::string_view(buf, n));
-}
-
-
-TagTree HotParser::ToTagTree() const {
-  // Arena ids are insertion order with parents first, so appending in id
-  // order reproduces every id and every child order.
-  TagTree out;
-  for (NodeId id = 1; id < tree_.node_count(); ++id) {
-    const ArenaNode& n = tree_.node(id);
-    if (n.is_tag()) {
-      out.AddTag(n.parent, n.tag);
-    } else {
-      out.AddContent(n.parent, n.text());
-    }
-  }
-  for (const AttributeSpan& span : attribute_spans_) {
-    std::vector<Attribute>& attributes = out.mutable_node(span.node).attributes;
-    bool self_closing = false;
-    ScanAttributes(span.bytes, 0, &self_closing,
-                   [&](std::string_view name, std::string_view value) {
-                     attributes.push_back({AsciiLower(name),
-                                           DecodeEntities(value)});
-                   });
-  }
-  out.FinalizeDerived();
-  return out;
 }
 
 }  // namespace thor::html

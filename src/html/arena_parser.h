@@ -20,33 +20,28 @@ namespace thor::html {
 ///   are never copied (the process-wide tag registry folds case during
 ///   lookup);
 /// - attributes are scanned for position only: each handled start tag that
-///   carries any records one (node, byte span) entry, which ToTagTree
-///   decodes for learning and labeling; serving never reads them;
+///   carries any records one (node, byte span) view into the input, which
+///   ArenaTree::Attributes decodes on demand; serving never reads them;
 /// - text runs are entity-decoded and whitespace-collapsed in a single
 ///   fused pass straight into the tree's arena (raw-text elements skip
 ///   decoding);
 /// - path signatures and tag counts are built during construction by
 ///   ArenaTree::AddTag, so signature building costs nothing extra.
 ///
-/// ParseHtml is Parse followed by ToTagTree; tests/hotpath_diff_test.cc
-/// pins the two trees node for node over whole drifting deepweb fleets.
+/// Serving reads the returned tree in place; learning and labeling keep a
+/// page-sized copy of it (ParseHtml, core::Page, deepweb::LabeledPage).
 ///
 /// Reusable: each Parse resets and refills the embedded tree. Not
 /// thread-safe; use one HotParser per worker thread.
 class HotParser {
  public:
   /// Parses `input`; the returned tree is owned by this parser and valid
-  /// until the next Parse call.
+  /// until the next Parse call. Its attribute views point into `input`, so
+  /// read attributes (or copy the tree) while `input` is alive.
   const ArenaTree& Parse(std::string_view input,
                          const ParseOptions& options = {});
 
   const ArenaTree& tree() const { return tree_; }
-
-  /// Copies the last parse into a TagTree: same node ids, collapsed text
-  /// and derived fields, plus the decoded start-tag attributes. The input
-  /// given to that Parse must still be alive (attributes are decoded from
-  /// it).
-  TagTree ToTagTree() const;
 
  private:
   struct LexedToken {
@@ -65,13 +60,6 @@ class HotParser {
     bool self_closing = false;
   };
 
-  /// Attribute bytes of one handled start tag and the node they belong to
-  /// (the root for <html>, body for <body>, else the new node).
-  struct AttributeSpan {
-    NodeId node;
-    std::string_view bytes;
-  };
-
   // Lexer.
   bool NextToken(LexedToken* token);
   bool LexMarkup(LexedToken* token);
@@ -82,6 +70,8 @@ class HotParser {
 
   // Builder.
   void HandleStartTag(const LexedToken& token);
+  /// Records a start tag's attribute bytes against the node they belong to:
+  /// the root for <html>, body for <body>, else the new node.
   void RecordAttributes(NodeId node, const LexedToken& token);
   void HandleEndTag(std::string_view name);
   void HandleText(std::string_view raw, bool is_raw_text);
@@ -98,8 +88,6 @@ class HotParser {
   NodeId head_ = kInvalidNode;
   NodeId body_ = kInvalidNode;
   NodeId last_raw_text_node_ = kInvalidNode;
-  /// Capacity retained across Parse calls, like the tree's.
-  std::vector<AttributeSpan> attribute_spans_;
 
   std::string_view input_;
   size_t pos_ = 0;

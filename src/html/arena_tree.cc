@@ -4,7 +4,46 @@
 #include <cassert>
 #include <cstring>
 
+#include "src/html/entities.h"
+
 namespace thor::html {
+
+ArenaTree::ArenaTree(const ArenaTree& other)
+    : nodes_(other.nodes_),
+      paths_(other.paths_),
+      distinct_tags_(other.distinct_tags_),
+      attributes_(other.attributes_) {
+  // A parser's count table is as long as the largest tag id it ever saw;
+  // keep only the prefix this page uses.
+  TagId max_tag = 0;
+  for (TagId tag : distinct_tags_) max_tag = std::max(max_tag, tag);
+  tag_counts_.assign(other.tag_counts_.begin(),
+                     other.tag_counts_.begin() + max_tag + 1);
+
+  // Every byte the views point at goes into one exactly-sized block.
+  size_t bytes = 0;
+  for (const ArenaNode& n : nodes_) bytes += n.text_size;
+  for (std::string_view p : paths_) bytes += p.size();
+  for (const AttributeSpan& span : attributes_) bytes += span.bytes.size();
+  arena_ = Arena(bytes);
+  char* out = static_cast<char*>(arena_.Allocate(bytes, 1));
+  auto own = [&out](std::string_view s) {
+    if (!s.empty()) std::memcpy(out, s.data(), s.size());
+    std::string_view owned(out, s.size());
+    out += s.size();
+    return owned;
+  };
+  for (ArenaNode& n : nodes_) {
+    if (!n.is_tag()) n.text_data = own(n.text()).data();
+  }
+  for (std::string_view& p : paths_) p = own(p);
+  for (AttributeSpan& span : attributes_) span.bytes = own(span.bytes);
+}
+
+ArenaTree& ArenaTree::operator=(const ArenaTree& other) {
+  if (this != &other) *this = ArenaTree(other);
+  return *this;
+}
 
 void ArenaTree::Reset() {
   arena_.Reset();
@@ -13,12 +52,12 @@ void ArenaTree::Reset() {
   path_transitions_.clear();
   for (TagId tag : distinct_tags_) tag_counts_[static_cast<size_t>(tag)] = 0;
   distinct_tags_.clear();
+  attributes_.clear();
 
-  // Root <html> node (mirrors TagTree's constructor). Its path is the
-  // single html symbol; path id 0 by construction.
-  char* symbol = static_cast<char*>(arena_.Allocate(1, 1));
-  *symbol = TagPathSymbol(Tag::kHtml);
-  paths_.push_back(std::string_view{symbol, 1});
+  // Root <html> node. Its path is the single html symbol, path id 0 by
+  // construction; the symbol is static so a lone root allocates no block.
+  static const char kRootSymbol = TagPathSymbol(Tag::kHtml);
+  paths_.push_back(std::string_view{&kRootSymbol, 1});
 
   ArenaNode root;
   root.tag = Tag::kHtml;
@@ -89,9 +128,9 @@ NodeId ArenaTree::AddContent(NodeId parent, std::string_view collapsed) {
 }
 
 void ArenaTree::FinalizeDerived() {
-  // Parents precede children (same invariant as TagTree), so one backward
-  // pass accumulates subtree aggregates. Depth and per-node content_length
-  // were assigned at insertion.
+  // Parents precede children, so one backward pass accumulates subtree
+  // aggregates. Depth and per-node content_length were assigned at
+  // insertion.
   for (size_t i = nodes_.size(); i-- > 1;) {
     const ArenaNode& n = nodes_[i];
     ArenaNode& p = nodes_[static_cast<size_t>(n.parent)];
@@ -100,12 +139,45 @@ void ArenaTree::FinalizeDerived() {
   }
 }
 
+int ArenaTree::MaxFanout() const {
+  int best = 0;
+  for (const ArenaNode& n : nodes_) best = std::max(best, n.fanout);
+  return best;
+}
+
+int ArenaTree::TagNodeCount() const {
+  int count = 0;
+  for (TagId tag : distinct_tags_) count += TagCountOf(tag);
+  return count;
+}
+
+NodeId ArenaTree::NextPreorder(NodeId id, NodeId top) const {
+  if (node(id).first_child != kInvalidNode) return node(id).first_child;
+  for (NodeId cur = id; cur != top; cur = node(cur).parent) {
+    if (node(cur).next_sibling != kInvalidNode) return node(cur).next_sibling;
+  }
+  return kInvalidNode;
+}
+
+std::vector<NodeId> ArenaTree::SubtreeNodes(NodeId id) const {
+  std::vector<NodeId> out;
+  out.reserve(static_cast<size_t>(node(id).subtree_size));
+  for (NodeId cur = id; cur != kInvalidNode; cur = NextPreorder(cur, id)) {
+    out.push_back(cur);
+  }
+  return out;
+}
+
+bool ArenaTree::IsAncestorOrSelf(NodeId ancestor, NodeId id) const {
+  for (NodeId cur = id; cur != kInvalidNode; cur = node(cur).parent) {
+    if (cur == ancestor) return true;
+  }
+  return false;
+}
+
 std::string_view ArenaTree::PathSymbols(NodeId id) const {
   const ArenaNode& n = node(id);
-  // Content leaves hang off a tag parent; TagTree::PathTags skips them, so
-  // their path equals the parent's.
-  uint32_t pid = n.is_tag() ? n.path_id
-                            : node(n.parent).path_id;
+  uint32_t pid = n.is_tag() ? n.path_id : node(n.parent).path_id;
   return paths_[static_cast<size_t>(pid)];
 }
 
@@ -123,8 +195,7 @@ std::string ArenaTree::PathString(NodeId id) const {
     if (parent != kInvalidNode) {
       int same_tag = 0;
       int index = 0;
-      for (NodeId sibling = node(parent).first_child;
-           sibling != kInvalidNode; sibling = node(sibling).next_sibling) {
+      for (NodeId sibling : Children(parent)) {
         const ArenaNode& s = node(sibling);
         if (s.is_tag() && s.tag == node(n).tag) {
           ++same_tag;
@@ -141,26 +212,77 @@ std::string ArenaTree::PathString(NodeId id) const {
   return out;
 }
 
+NodeId ArenaTree::ResolvePath(std::string_view path) const {
+  std::vector<std::string> parts = Split(std::string(path), '/');
+  if (parts.empty()) return kInvalidNode;
+  NodeId cur = kInvalidNode;
+  for (size_t level = 0; level < parts.size(); ++level) {
+    std::string_view part = parts[level];
+    int want_index = 0;  // 0 = unindexed (first same-tag match)
+    std::string_view name = part;
+    size_t bracket = part.find('[');
+    if (bracket != std::string_view::npos && part.back() == ']') {
+      name = part.substr(0, bracket);
+      int parsed = 0;
+      for (size_t i = bracket + 1; i + 1 < part.size(); ++i) {
+        if (!IsAsciiDigit(part[i])) return kInvalidNode;
+        parsed = parsed * 10 + (part[i] - '0');
+      }
+      want_index = parsed;
+    }
+    TagId tag = FindTag(name);
+    if (tag < 0) return kInvalidNode;
+    if (level == 0) {
+      if (node(root()).tag != tag) return kInvalidNode;
+      cur = root();
+      continue;
+    }
+    NodeId next = kInvalidNode;
+    int seen = 0;
+    for (NodeId child : Children(cur)) {
+      const ArenaNode& c = node(child);
+      if (c.is_tag() && c.tag == tag) {
+        ++seen;
+        if (want_index == 0 || seen == want_index) {
+          next = child;
+          break;
+        }
+      }
+    }
+    if (next == kInvalidNode) return kInvalidNode;
+    cur = next;
+  }
+  return cur;
+}
+
 void ArenaTree::AppendSubtreeText(NodeId id, std::string* out) const {
-  // Link-following preorder: identical visit order to TagTree::SubtreeText's
-  // stack walk (sibling links preserve insertion order).
-  NodeId cur = id;
-  while (true) {
+  for (NodeId cur = id; cur != kInvalidNode; cur = NextPreorder(cur, id)) {
     const ArenaNode& n = node(cur);
     if (!n.is_tag()) {
       if (!out->empty()) out->push_back(' ');
       out->append(n.text_data, n.text_size);
     }
-    if (n.first_child != kInvalidNode) {
-      cur = n.first_child;
-      continue;
-    }
-    while (cur != id && node(cur).next_sibling == kInvalidNode) {
-      cur = node(cur).parent;
-    }
-    if (cur == id) break;
-    cur = node(cur).next_sibling;
   }
+}
+
+std::vector<Attribute> ArenaTree::Attributes(NodeId id) const {
+  std::vector<Attribute> out;
+  for (const AttributeSpan& span : attributes_) {
+    if (span.node != id) continue;
+    bool self_closing = false;
+    ScanAttributes(span.bytes, 0, &self_closing,
+                   [&](std::string_view name, std::string_view value) {
+                     out.push_back({AsciiLower(name), DecodeEntities(value)});
+                   });
+  }
+  return out;
+}
+
+std::string ArenaTree::AttributeValue(NodeId id, std::string_view name) const {
+  for (Attribute& attribute : Attributes(id)) {
+    if (attribute.name == name) return std::move(attribute.value);
+  }
+  return {};
 }
 
 }  // namespace thor::html

@@ -5,11 +5,10 @@
 
 namespace thor::html {
 
-TagTree ParseHtml(std::string_view input, const ParseOptions& options) {
+ArenaTree ParseHtml(std::string_view input, const ParseOptions& options) {
   // One parser per thread keeps its arena and tables warm across calls.
   thread_local HotParser parser;
-  parser.Parse(input, options);
-  return parser.ToTagTree();
+  return parser.Parse(input, options);
 }
 
 namespace {
@@ -32,17 +31,14 @@ bool EndsInsideMarkup(std::string_view input) {
 
 }  // namespace
 
-Result<TagTree> ParseHtmlChecked(std::string_view input,
+Result<ArenaTree> ParseHtmlChecked(std::string_view input,
                                  const ParseOptions& options,
                                  ParseDiagnostics* diagnostics) {
   if (StripAsciiWhitespace(input).empty()) {
     return Status::ParseError("empty document");
   }
-  TagTree tree = ParseHtml(input, options);
-  int tag_nodes = 0;
-  for (NodeId id : tree.Preorder()) {
-    if (tree.node(id).kind == NodeKind::kTag) ++tag_nodes;
-  }
+  ArenaTree tree = ParseHtml(input, options);
+  int tag_nodes = tree.TagNodeCount();
   bool truncated = EndsInsideMarkup(input);
   if (diagnostics != nullptr) {
     diagnostics->truncated_markup = truncated;

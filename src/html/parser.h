@@ -3,7 +3,7 @@
 
 #include <string_view>
 
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 #include "src/util/status.h"
 
 namespace thor::html {
@@ -21,12 +21,14 @@ struct ParseOptions {
 /// \brief Error-tolerant HTML parser producing the paper's tag-tree model.
 ///
 /// A rooted tree of tag nodes and content-node leaves, with start-tag
-/// attributes. This is HotParser::Parse followed by HotParser::ToTagTree,
-/// so learning, labeling and serving share one lexer and one set of
-/// recovery rules (implied end tags, void elements, head/body synthesis,
-/// mismatched end-tag skipping) — what the paper obtained by piping pages
-/// through HTML Tidy. Parsing never fails; any byte sequence yields a tree.
-TagTree ParseHtml(std::string_view input, const ParseOptions& options = {});
+/// attributes. This is HotParser::Parse on a thread-local parser, returned
+/// as a page-sized copy that owns its text and attribute bytes, so
+/// learning, labeling and serving share one lexer, one set of recovery
+/// rules (implied end tags, void elements, head/body synthesis, mismatched
+/// end-tag skipping) — what the paper obtained by piping pages through HTML
+/// Tidy — and one tree type. Parsing never fails; any byte sequence yields
+/// a tree.
+ArenaTree ParseHtml(std::string_view input, const ParseOptions& options = {});
 
 /// Damage indicators collected by ParseHtmlChecked.
 struct ParseDiagnostics {
@@ -46,7 +48,7 @@ struct ParseDiagnostics {
 /// yields no elements at all — return a clean Status::ParseError instead
 /// of a degenerate tree. A truncated page that still parses into a usable
 /// tree succeeds, with the damage reported through `diagnostics`.
-Result<TagTree> ParseHtmlChecked(std::string_view input,
+Result<ArenaTree> ParseHtmlChecked(std::string_view input,
                                  const ParseOptions& options = {},
                                  ParseDiagnostics* diagnostics = nullptr);
 

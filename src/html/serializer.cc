@@ -6,25 +6,25 @@ namespace thor::html {
 
 namespace {
 
-void SerializeNode(const TagTree& tree, NodeId id,
+void SerializeNode(const ArenaTree& tree, NodeId id,
                    const SerializeOptions& options, int depth,
                    std::string* out) {
-  const Node& n = tree.node(id);
+  const ArenaNode& n = tree.node(id);
   auto indent = [&] {
     if (options.pretty) {
       out->push_back('\n');
       out->append(static_cast<size_t>(depth) * 2, ' ');
     }
   };
-  if (n.kind == NodeKind::kContent) {
+  if (!n.is_tag()) {
     indent();
-    out->append(EscapeText(n.text));
+    out->append(EscapeText(n.text()));
     return;
   }
   indent();
   out->push_back('<');
   out->append(TagName(n.tag));
-  for (const Attribute& attr : n.attributes) {
+  for (const Attribute& attr : tree.Attributes(id)) {
     out->push_back(' ');
     out->append(attr.name);
     out->append("=\"");
@@ -33,10 +33,10 @@ void SerializeNode(const TagTree& tree, NodeId id,
   }
   out->push_back('>');
   if (IsVoidTag(n.tag)) return;
-  for (NodeId child : n.children) {
+  for (NodeId child : tree.Children(id)) {
     SerializeNode(tree, child, options, depth + 1, out);
   }
-  if (options.pretty && !n.children.empty()) {
+  if (options.pretty && n.fanout > 0) {
     out->push_back('\n');
     out->append(static_cast<size_t>(depth) * 2, ' ');
   }
@@ -47,7 +47,7 @@ void SerializeNode(const TagTree& tree, NodeId id,
 
 }  // namespace
 
-std::string Serialize(const TagTree& tree, NodeId root,
+std::string Serialize(const ArenaTree& tree, NodeId root,
                       const SerializeOptions& options) {
   std::string out;
   SerializeNode(tree, root, options, 0, &out);
@@ -57,7 +57,7 @@ std::string Serialize(const TagTree& tree, NodeId root,
   return out;
 }
 
-std::string Serialize(const TagTree& tree, const SerializeOptions& options) {
+std::string Serialize(const ArenaTree& tree, const SerializeOptions& options) {
   return Serialize(tree, tree.root(), options);
 }
 

@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 
 namespace thor::html {
 
@@ -16,11 +16,11 @@ struct SerializeOptions {
 /// Serializes a (sub)tree back to HTML. Void elements get no end tag;
 /// text and attribute values are entity-escaped. Round-tripping a parsed
 /// page through Serialize+ParseHtml yields an isomorphic tree (tested).
-std::string Serialize(const TagTree& tree, NodeId root,
+std::string Serialize(const ArenaTree& tree, NodeId root,
                       const SerializeOptions& options = {});
 
 /// Serializes the whole tree from its root.
-std::string Serialize(const TagTree& tree,
+std::string Serialize(const ArenaTree& tree,
                       const SerializeOptions& options = {});
 
 }  // namespace thor::html

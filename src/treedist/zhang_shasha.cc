@@ -8,27 +8,26 @@ namespace {
 
 constexpr int kContentLabel = -2;
 
-void BuildPostorder(const html::TagTree& tree, html::NodeId node,
+void BuildPostorder(const html::ArenaTree& tree, html::NodeId node,
                     OrderedTree* out, int* leftmost_out) {
-  const html::Node& n = tree.node(node);
+  const html::ArenaNode& n = tree.node(node);
   int my_leftmost = -1;
-  for (html::NodeId child : n.children) {
+  for (html::NodeId child : tree.Children(node)) {
     int child_leftmost = -1;
     BuildPostorder(tree, child, out, &child_leftmost);
     if (my_leftmost == -1) my_leftmost = child_leftmost;
   }
   int my_index = static_cast<int>(out->labels.size());
   if (my_leftmost == -1) my_leftmost = my_index;
-  out->labels.push_back(n.kind == html::NodeKind::kTag ? n.tag
-                                                       : kContentLabel);
+  out->labels.push_back(n.is_tag() ? n.tag : kContentLabel);
   out->leftmost_leaf.push_back(my_leftmost);
   *leftmost_out = my_leftmost;
 }
 
 }  // namespace
 
-OrderedTree OrderedTree::FromTagTree(const html::TagTree& tree,
-                                     html::NodeId root) {
+OrderedTree OrderedTree::FromArenaTree(const html::ArenaTree& tree,
+                                       html::NodeId root) {
   OrderedTree out;
   int leftmost = -1;
   BuildPostorder(tree, root, &out, &leftmost);

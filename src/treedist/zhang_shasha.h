@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 
 namespace thor::treedist {
 
@@ -24,8 +24,8 @@ struct OrderedTree {
   int size() const { return static_cast<int>(labels.size()); }
 
   /// Builds from the subtree of `tree` rooted at `root`.
-  static OrderedTree FromTagTree(const html::TagTree& tree,
-                                 html::NodeId root);
+  static OrderedTree FromArenaTree(const html::ArenaTree& tree,
+                                   html::NodeId root);
 };
 
 /// Zhang-Shasha ordered tree edit distance with unit insert/delete/relabel

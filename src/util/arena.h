@@ -41,6 +41,21 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
+  /// Moves keep every handed-out pointer valid (blocks live on the heap)
+  /// and leave the source empty.
+  Arena(Arena&& other) noexcept : block_bytes_(other.block_bytes_) {
+    *this = std::move(other);
+  }
+  Arena& operator=(Arena&& other) noexcept {
+    block_bytes_ = other.block_bytes_;
+    blocks_ = std::exchange(other.blocks_, {});
+    next_block_ = std::exchange(other.next_block_, 0);
+    cursor_ = std::exchange(other.cursor_, nullptr);
+    limit_ = std::exchange(other.limit_, nullptr);
+    bytes_used_ = std::exchange(other.bytes_used_, 0);
+    return *this;
+  }
+
   /// Returns `size` bytes aligned to `align` (a power of two). Zero-size
   /// requests return a stable non-null pointer.
   void* Allocate(size_t size, size_t align = alignof(std::max_align_t)) {

@@ -1,15 +1,23 @@
-// Differential harness for the extraction hot path: the arena pipeline
-// (HotParser / HotExtractor / CompiledTemplates) must be *bit-identical*
-// to the reference composition (ParseHtml / TagCountVector /
-// LocateDetailed / PartitionObjects) on every page a deepweb fleet can
-// produce — fresh answer pages, no-match pages, and three template-drift
-// epochs.
+// Golden harness for the extraction hot path. Every extraction response
+// over a drifting two-site fleet (2 sites x 12 fresh queries x drift
+// epochs 0-2 = 72 pages, hits and misses) is pinned bit for bit against
+// tests/golden/hotpath_responses.txt: pagelet path, distance, budget,
+// template index, exact-path flag, confidence and object texts. So is a
+// digest of every parsed tree, uncapped and under each max_nodes cap, for
+// both the parser's own tree and the page-sized copy learning keeps.
 //
-// The hot path is the only serving path and the reference composition is
-// what learning runs on, so any observable divergence is a bug in the hot
-// path, full stop.
+// The golden file was recorded when a second, independent reference
+// implementation of the tree, locate and partition code still existed and
+// agreed with the hot path on all of it. Regenerate it only after an
+// intentional output change:
+//   THOR_UPDATE_GOLDEN=1 ./build/tests/hotpath_diff_test
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,9 +26,7 @@
 
 #include "src/core/evaluation.h"
 #include "src/core/hot_extractor.h"
-#include "src/core/object_partition.h"
 #include "src/core/page.h"
-#include "src/core/signature_builder.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
 #include "src/deepweb/corpus.h"
@@ -31,15 +37,15 @@
 #include "src/serve/template_store.h"
 #include "src/util/json.h"
 
+#ifndef THOR_TESTDATA_DIR
+#define THOR_TESTDATA_DIR "tests/golden"
+#endif
+
 namespace thor {
 namespace {
 
-bool BitEqual(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(a)) == 0;
-}
-
 // One drifting fleet plus a registry learned at epoch 0 — the corpus every
-// differential test below runs over.
+// test below runs over.
 struct DiffWorld {
   std::vector<deepweb::DeepWebSite> fleet;
   core::TemplateRegistry registry;  ///< learned from fleet[0] at epoch 0
@@ -64,8 +70,7 @@ struct DiffWorld {
   }
 
   /// Fresh pages (never probed during learning) from every site at the
-  /// fleet's current epoch: answer pages, single matches, no-match pages —
-  /// the diff must hold on all of them, misses included.
+  /// fleet's current epoch: answer pages, single matches, no-match pages.
   std::vector<std::string> FreshHtml() {
     const char* queries[] = {"window", "garden", "silver", "market",
                              "bridge", "dream",  "castle", "violet",
@@ -80,192 +85,196 @@ struct DiffWorld {
   }
 };
 
-/// Preorder node ids of an ArenaTree via its child/sibling links (the hot
-/// tree has no materialized child vectors to walk).
-std::vector<html::NodeId> ArenaPreorder(const html::ArenaTree& tree) {
-  std::vector<html::NodeId> order;
-  if (tree.node_count() == 0) return order;
-  html::NodeId cur = tree.root();
-  while (cur != html::kInvalidNode) {
-    order.push_back(cur);
-    const html::ArenaNode& n = tree.node(cur);
-    if (n.first_child != html::kInvalidNode) {
-      cur = n.first_child;
-      continue;
-    }
-    while (cur != html::kInvalidNode &&
-           tree.node(cur).next_sibling == html::kInvalidNode) {
-      cur = tree.node(cur).parent;
-    }
-    if (cur != html::kInvalidNode) cur = tree.node(cur).next_sibling;
-  }
-  return order;
+std::string Hex64(uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
+  return buf;
 }
 
-void ExpectTreesIdentical(const html::TagTree& legacy,
-                          const html::ArenaTree& hot,
-                          const std::string& context) {
-  SCOPED_TRACE(context);
-  std::vector<html::NodeId> legacy_order = legacy.Preorder();
-  std::vector<html::NodeId> hot_order = ArenaPreorder(hot);
-  ASSERT_EQ(legacy_order.size(), hot_order.size());
-  for (size_t i = 0; i < legacy_order.size(); ++i) {
-    const html::Node& l = legacy.node(legacy_order[i]);
-    const html::ArenaNode& h = hot.node(hot_order[i]);
-    SCOPED_TRACE("preorder index " + std::to_string(i));
-    ASSERT_EQ(l.kind == html::NodeKind::kTag, h.is_tag());
-    if (l.kind == html::NodeKind::kTag) {
-      EXPECT_EQ(l.tag, h.tag);
-      EXPECT_EQ(legacy.PathSymbols(legacy_order[i]),
-                hot.path(h.path_id));
-      EXPECT_EQ(legacy.PathString(legacy_order[i]),
-                hot.PathString(hot_order[i]));
-    } else {
-      EXPECT_EQ(std::string_view(l.text), h.text());
-    }
-    EXPECT_EQ(legacy.Fanout(legacy_order[i]), h.fanout);
-    EXPECT_EQ(legacy.Depth(legacy_order[i]), h.depth);
-    EXPECT_EQ(legacy.SubtreeSize(legacy_order[i]), h.subtree_size);
-    EXPECT_EQ(l.content_length, h.content_length);
-  }
+/// IEEE bits of a double, so the golden pins values bit for bit.
+std::string Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return Hex64(bits);
 }
 
-TEST(HotPathDiffTest, TreesMatchNodeByNodeAcrossDriftEpochs) {
-  DiffWorld world = DiffWorld::Make();
-  html::HotParser parser;
-  for (int epoch : {0, 1, 2}) {
-    deepweb::SetFleetEpoch(&world.fleet, epoch);
-    auto corpus = world.FreshHtml();
-    ASSERT_FALSE(corpus.empty());
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      core::Page page = core::Page::Parse("diff", corpus[i]);
-      const html::ArenaTree& hot = parser.Parse(corpus[i]);
-      ExpectTreesIdentical(page.tree, hot,
-                           "epoch " + std::to_string(epoch) + " page " +
-                               std::to_string(i));
-    }
-  }
-}
-
-TEST(HotPathDiffTest, MaxNodesCapProducesIdenticalTruncation) {
-  DiffWorld world = DiffWorld::Make();
-  html::HotParser parser;
-  auto corpus = world.FreshHtml();
-  html::ParseOptions options;
-  for (int cap : {1, 5, 40, 200}) {
-    options.max_nodes = cap;
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      core::Page page = core::Page::Parse("diff", corpus[i], options);
-      const html::ArenaTree& hot = parser.Parse(corpus[i], options);
-      ExpectTreesIdentical(page.tree, hot,
-                           "cap " + std::to_string(cap) + " page " +
-                               std::to_string(i));
-    }
-  }
-}
-
-// The fused tokenize+count signature must equal signature_builder's
-// two-pass TagCountVector down to the last weight bit: clustering and the
-// stable-tag gate both hang off these vectors.
-TEST(HotPathDiffTest, FusedSignaturesBitIdenticalToTagCountVector) {
-  DiffWorld world = DiffWorld::Make();
-  core::HotExtractor extractor;
-  for (int epoch : {0, 1, 2}) {
-    deepweb::SetFleetEpoch(&world.fleet, epoch);
-    for (const std::string& html : world.FreshHtml()) {
-      core::Page page = core::Page::Parse("diff", html);
-      extractor.Parse(html);
-      ir::SparseVector legacy = core::TagCountVector(page.tree);
-      ir::SparseVector hot = extractor.PageTagCounts();
-      ASSERT_EQ(legacy.entries().size(), hot.entries().size());
-      for (size_t e = 0; e < legacy.entries().size(); ++e) {
-        EXPECT_EQ(legacy.entries()[e].id, hot.entries()[e].id);
-        EXPECT_TRUE(BitEqual(legacy.entries()[e].weight,
-                             hot.entries()[e].weight));
+/// FNV-1a 64 over one record per node, preorder: kind, tag, path symbols,
+/// path string, attributes (or text), fanout, depth, subtree size and
+/// content length.
+std::string TreeDigest(const html::ArenaTree& tree) {
+  uint64_t hash = 14695981039346656037ull;
+  for (html::NodeId id : tree.Preorder()) {
+    const html::ArenaNode& n = tree.node(id);
+    std::ostringstream record;
+    if (n.is_tag()) {
+      record << 'T' << html::TagName(n.tag) << '|' << tree.PathSymbols(id)
+             << '|' << tree.PathString(id);
+      for (const html::Attribute& a : tree.Attributes(id)) {
+        record << '|' << a.name << '=' << a.value;
       }
-      EXPECT_TRUE(BitEqual(legacy.Norm(), hot.Norm()));
+    } else {
+      record << 'C' << n.text();
+    }
+    record << '|' << n.fanout << '|' << n.depth << '|' << n.subtree_size
+           << '|' << n.content_length << '\n';
+    for (unsigned char c : record.str()) {
+      hash = (hash ^ c) * 1099511628211ull;
     }
   }
+  return Hex64(hash);
 }
 
-// LocateDetailed: node (compared by path address — the two trees number
-// nodes differently), distance, budget, template index, exact-path flag,
-// and the derived confidence must all be bit-identical, at every epoch.
-TEST(HotPathDiffTest, LocateDetailedBitIdenticalAcrossDriftEpochs) {
-  DiffWorld world = DiffWorld::Make();
+std::string ResponseLine(int epoch, size_t page,
+                         const core::HotExtractor::Result& r) {
+  JsonWriter objects;
+  objects.BeginArray();
+  for (const std::string& object : r.objects) objects.String(object);
+  objects.EndArray();
+  const auto& located = r.located;
+  return "epoch " + std::to_string(epoch) + " page " + std::to_string(page) +
+         (r.hit ? " hit" : " miss") + " node=" + r.pagelet_path +
+         " distance=" + Bits(located.distance) +
+         " budget=" + Bits(located.budget) +
+         " template=" + std::to_string(located.template_index) +
+         " exact=" + (located.exact_path ? "1" : "0") +
+         " confidence=" + Bits(located.Confidence()) +
+         " objects=" + objects.str();
+}
+
+std::string TreeLine(int epoch, size_t page, int cap,
+                     const html::ArenaTree& tree) {
+  return "tree epoch " + std::to_string(epoch) + " page " +
+         std::to_string(page) + " cap " + std::to_string(cap) + " " +
+         TreeDigest(tree);
+}
+
+/// The golden document: per epoch and page, the extraction response and
+/// the uncapped tree digest; then the epoch-0 pages under each cap. Tree
+/// lines come from `tree_of(html, options)`.
+template <typename TreeOf>
+std::vector<std::string> GoldenLines(DiffWorld& world, TreeOf&& tree_of) {
   core::CompiledTemplates compiled =
       core::CompiledTemplates::Compile(world.registry);
   core::HotExtractor extractor;
-  int hits = 0;
-  int misses = 0;
+  std::vector<std::string> lines;
+  std::vector<std::string> epoch0;
   for (int epoch : {0, 1, 2}) {
     deepweb::SetFleetEpoch(&world.fleet, epoch);
-    auto corpus = world.FreshHtml();
+    std::vector<std::string> corpus = world.FreshHtml();
+    if (epoch == 0) epoch0 = corpus;
     for (size_t i = 0; i < corpus.size(); ++i) {
-      SCOPED_TRACE("epoch " + std::to_string(epoch) + " page " +
-                   std::to_string(i));
-      core::Page page = core::Page::Parse("diff", corpus[i]);
-      auto legacy = world.registry.LocateDetailed(page.tree);
-      const html::ArenaTree& tree = extractor.Parse(corpus[i]);
-      auto hot = extractor.Locate(tree, compiled);
-      ASSERT_EQ(legacy.node == html::kInvalidNode,
-                hot.node == html::kInvalidNode);
-      if (legacy.node != html::kInvalidNode) {
-        ++hits;
-        EXPECT_EQ(page.tree.PathString(legacy.node),
-                  tree.PathString(hot.node));
-      } else {
-        ++misses;
-      }
-      EXPECT_TRUE(BitEqual(legacy.distance, hot.distance))
-          << legacy.distance << " vs " << hot.distance;
-      EXPECT_TRUE(BitEqual(legacy.budget, hot.budget));
-      EXPECT_EQ(legacy.template_index, hot.template_index);
-      EXPECT_EQ(legacy.exact_path, hot.exact_path);
-      EXPECT_TRUE(BitEqual(legacy.Confidence(), hot.Confidence()));
+      lines.push_back(
+          ResponseLine(epoch, i, extractor.Extract(corpus[i], compiled)));
+      lines.push_back(TreeLine(epoch, i, 0, tree_of(corpus[i], {})));
     }
   }
-  // The corpus must exercise both outcomes or the diff proves nothing.
+  for (int cap : {1, 5, 40, 200}) {
+    html::ParseOptions options;
+    options.max_nodes = cap;
+    for (size_t i = 0; i < epoch0.size(); ++i) {
+      lines.push_back(TreeLine(0, i, cap, tree_of(epoch0[i], options)));
+    }
+  }
+  return lines;
+}
+
+std::string GoldenPath() {
+  return std::string(THOR_TESTDATA_DIR) + "/hotpath_responses.txt";
+}
+
+std::vector<std::string> ReadGolden() {
+  std::ifstream in(GoldenPath());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void ExpectLinesEqual(const std::vector<std::string>& golden,
+                      const std::vector<std::string>& actual) {
+  ASSERT_FALSE(golden.empty())
+      << "missing golden file " << GoldenPath()
+      << "; regenerate with THOR_UPDATE_GOLDEN=1";
+  ASSERT_EQ(golden.size(), actual.size());
+  for (size_t i = 0; i < golden.size(); ++i) {
+    ASSERT_EQ(golden[i], actual[i]) << "golden line " << i + 1;
+  }
+}
+
+// Responses and the serving parser's own trees against the golden file.
+TEST(HotPathDiffTest, ResponsesAndTreesMatchGolden) {
+  DiffWorld world = DiffWorld::Make();
+  html::HotParser parser;
+  std::vector<std::string> lines = GoldenLines(
+      world, [&](const std::string& html, const html::ParseOptions& options)
+                 -> const html::ArenaTree& {
+        return parser.Parse(html, options);
+      });
+  if (std::getenv("THOR_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(GoldenPath(), std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+    for (const std::string& line : lines) out << line << "\n";
+    GTEST_SKIP() << "golden regenerated at " << GoldenPath();
+  }
+  ExpectLinesEqual(ReadGolden(), lines);
+  // The corpus must exercise both outcomes or the golden proves little.
+  int hits = 0;
+  int misses = 0;
+  for (const std::string& line : lines) {
+    hits += line.find(" hit node=") != std::string::npos;
+    misses += line.find(" miss node=") != std::string::npos;
+  }
   EXPECT_GT(hits, 0);
   EXPECT_GT(misses, 0);
 }
 
-// Full serving extraction: pagelet path + partitioned object texts.
-TEST(HotPathDiffTest, ExtractionOutputIdenticalToLegacyPipeline) {
+// The page-sized copies that core::Page and deepweb::LabeledPage hold
+// digest exactly like the parser's tree, caps included.
+TEST(HotPathDiffTest, PageTreesMatchGolden) {
+  DiffWorld world = DiffWorld::Make();
+  std::vector<std::string> lines = GoldenLines(
+      world, [](const std::string& html, const html::ParseOptions& options) {
+        return core::Page::Parse("diff", html, options).tree;
+      });
+  ExpectLinesEqual(ReadGolden(), lines);
+  for (int epoch : {0, 1, 2}) {
+    deepweb::SetFleetEpoch(&world.fleet, epoch);
+    for (const std::string& html : world.FreshHtml()) {
+      deepweb::QueryResponse response;
+      response.html = html;
+      deepweb::LabeledPage labeled = deepweb::LabelPage(response);
+      EXPECT_EQ(TreeDigest(labeled.tree),
+                TreeDigest(core::Page::Parse("diff", html).tree));
+    }
+  }
+}
+
+// Locating on a stored page tree (what thorcli apply does) gives exactly
+// what locating on the serving parser's tree gives.
+TEST(HotPathDiffTest, LocateOnPageTreeMatchesServingParse) {
   DiffWorld world = DiffWorld::Make();
   core::CompiledTemplates compiled =
       core::CompiledTemplates::Compile(world.registry);
-  core::HotExtractor extractor;
+  core::HotExtractor serving;
+  core::HotExtractor stored;
   for (int epoch : {0, 1, 2}) {
     deepweb::SetFleetEpoch(&world.fleet, epoch);
-    auto corpus = world.FreshHtml();
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      SCOPED_TRACE("epoch " + std::to_string(epoch) + " page " +
-                   std::to_string(i));
-      auto hot = extractor.Extract(corpus[i], compiled);
-      // Legacy serving path, verbatim.
-      core::Page page = core::Page::Parse("diff", corpus[i]);
-      auto located = world.registry.LocateDetailed(page.tree);
-      if (located.node == html::kInvalidNode) {
-        EXPECT_FALSE(hot.hit);
-        EXPECT_TRUE(hot.pagelet_path.empty());
-        EXPECT_TRUE(hot.objects.empty());
-        continue;
-      }
-      ASSERT_TRUE(hot.hit);
-      EXPECT_EQ(hot.pagelet_path, page.tree.PathString(located.node));
-      auto spans = core::PartitionObjects(page.tree, located.node, {}, {});
-      std::vector<std::string> legacy_objects =
-          core::ObjectTexts(page.tree, spans);
-      EXPECT_EQ(hot.objects, legacy_objects);
+    for (const std::string& html : world.FreshHtml()) {
+      core::Page page = core::Page::Parse("diff", html);
+      auto a = serving.Locate(serving.Parse(html), compiled);
+      auto b = stored.Locate(page.tree, compiled);
+      EXPECT_EQ(a.node, b.node);
+      EXPECT_EQ(Bits(a.distance), Bits(b.distance));
+      EXPECT_EQ(Bits(a.budget), Bits(b.budget));
+      EXPECT_EQ(a.template_index, b.template_index);
+      EXPECT_EQ(a.exact_path, b.exact_path);
     }
   }
 }
 
 // Service-level closure: the service's response stream, at 1 and 4
-// worker threads, must be byte-identical to a stream built directly from
-// the reference composition over the same store, across drift epochs.
-TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
+// worker threads, equals one built from HotExtractor::Extract (pinned by
+// the golden file above) over the same store, across drift epochs.
+TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossThreads) {
   namespace fs = std::filesystem;
   using Response = serve::ExtractionService::Response;
   DiffWorld world = DiffWorld::Make();
@@ -275,6 +284,9 @@ TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(store->Put("site0", world.registry).ok());
   const int64_t generation = store->Generation("site0");
+  core::CompiledTemplates compiled =
+      core::CompiledTemplates::Compile(world.registry);
+  core::HotExtractor extractor;
 
   auto serialize = [](const std::vector<Response>& responses) {
     JsonWriter json;
@@ -304,14 +316,12 @@ TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
       requests.push_back({"site0", html});
       Response response;
       response.generation = generation;
-      core::Page page = core::Page::Parse("site0", html);
-      auto located = world.registry.LocateDetailed(page.tree);
-      if (located.node != html::kInvalidNode) {
+      auto hot = extractor.Extract(html, compiled);
+      if (hot.hit) {
         response.source = serve::ExtractionService::Source::kTemplate;
-        response.confidence = located.Confidence();
-        response.pagelet_path = page.tree.PathString(located.node);
-        response.objects = core::ObjectTexts(
-            page.tree, core::PartitionObjects(page.tree, located.node));
+        response.confidence = hot.located.Confidence();
+        response.pagelet_path = hot.pagelet_path;
+        response.objects = hot.objects;
       }
       expected.push_back(std::move(response));
     }

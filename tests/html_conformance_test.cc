@@ -10,31 +10,29 @@ namespace thor::html {
 namespace {
 
 std::string Text(const char* html) {
-  TagTree tree = ParseHtml(html);
+  ArenaTree tree = ParseHtml(html);
   return tree.SubtreeText(tree.root());
 }
 
-int CountTag(const TagTree& tree, TagId tag) {
+int CountTag(const ArenaTree& tree, TagId tag) {
   int count = 0;
   for (NodeId id : tree.Preorder()) {
-    if (tree.node(id).kind == NodeKind::kTag && tree.node(id).tag == tag) {
-      ++count;
-    }
+    if (tree.node(id).tag == tag) ++count;
   }
   return count;
 }
 
 TEST(HtmlConformanceTest, DuplicateAttributesAllKept) {
-  TagTree tree = ParseHtml("<a href='/first' href='/second'>x</a>");
+  ArenaTree tree = ParseHtml("<a href='/first' href='/second'>x</a>");
   NodeId a = tree.ResolvePath("html/body/a");
   ASSERT_NE(a, kInvalidNode);
   // First occurrence wins for lookup.
   EXPECT_EQ(tree.AttributeValue(a, "href"), "/first");
-  EXPECT_EQ(tree.node(a).attributes.size(), 2u);
+  EXPECT_EQ(tree.Attributes(a).size(), 2u);
 }
 
 TEST(HtmlConformanceTest, EqualsWithoutValue) {
-  TagTree tree = ParseHtml("<input type= >text");
+  ArenaTree tree = ParseHtml("<input type= >text");
   NodeId input = tree.ResolvePath("html/body/input");
   ASSERT_NE(input, kInvalidNode);
   // "type=" consumes the '>' ... no: unquoted value stops at '>'.
@@ -42,13 +40,13 @@ TEST(HtmlConformanceTest, EqualsWithoutValue) {
 }
 
 TEST(HtmlConformanceTest, QuoteInsideUnquotedValue) {
-  TagTree tree = ParseHtml("<a href=/x\"y>t</a>");
+  ArenaTree tree = ParseHtml("<a href=/x\"y>t</a>");
   NodeId a = tree.ResolvePath("html/body/a");
   EXPECT_EQ(tree.AttributeValue(a, "href"), "/x\"y");
 }
 
 TEST(HtmlConformanceTest, EntityInAttributeVsText) {
-  TagTree tree =
+  ArenaTree tree =
       ParseHtml("<a href=\"/s?a=1&amp;b=2\">x &amp; y</a>");
   NodeId a = tree.ResolvePath("html/body/a");
   EXPECT_EQ(tree.AttributeValue(a, "href"), "/s?a=1&b=2");
@@ -60,13 +58,13 @@ TEST(HtmlConformanceTest, NumericEntityInText) {
 }
 
 TEST(HtmlConformanceTest, NestedListsKeepStructure) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<ul><li>a<ul><li>a1<li>a2</ul><li>b</ul>");
   NodeId outer = tree.ResolvePath("html/body/ul");
   ASSERT_NE(outer, kInvalidNode);
   // Outer list has two <li> children (a with nested list, b).
   int li_children = 0;
-  for (NodeId child : tree.node(outer).children) {
+  for (NodeId child : tree.Children(outer)) {
     if (tree.node(child).tag == Tag::kLi) ++li_children;
   }
   EXPECT_EQ(li_children, 2);
@@ -75,7 +73,7 @@ TEST(HtmlConformanceTest, NestedListsKeepStructure) {
 }
 
 TEST(HtmlConformanceTest, SelectOptionImpliedEnds) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<select><option>one<option>two<option>three</select>");
   EXPECT_EQ(CountTag(tree, Tag::kOption), 3);
   NodeId select = tree.ResolvePath("html/body/select");
@@ -90,7 +88,7 @@ TEST(HtmlConformanceTest, TextDirectlyInsideTableIsKept) {
 }
 
 TEST(HtmlConformanceTest, NestedTables) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<table><tr><td><table><tr><td>inner</td></tr></table>"
       "</td></tr></table>");
   EXPECT_EQ(CountTag(tree, Tag::kTable), 2);
@@ -100,7 +98,7 @@ TEST(HtmlConformanceTest, NestedTables) {
 }
 
 TEST(HtmlConformanceTest, StrayTdEndTagInsideNestedTable) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<table><tr><td><table><tr><td>x</td></tr></table></td>"
       "</tr><tr><td>y</td></tr></table>");
   NodeId outer = tree.ResolvePath("html/body/table");
@@ -109,7 +107,7 @@ TEST(HtmlConformanceTest, StrayTdEndTagInsideNestedTable) {
 }
 
 TEST(HtmlConformanceTest, LegacyCenterFontMarkup) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<center><font size=\"+1\" color=\"red\"><b>SALE</b></font>"
       "</center>");
   EXPECT_EQ(CountTag(tree, Tag::kCenter), 1);
@@ -118,12 +116,12 @@ TEST(HtmlConformanceTest, LegacyCenterFontMarkup) {
 }
 
 TEST(HtmlConformanceTest, SelfClosingDivActsEmpty) {
-  TagTree tree = ParseHtml("<div/>after");
+  ArenaTree tree = ParseHtml("<div/>after");
   NodeId body = tree.ResolvePath("html/body");
   // The div takes no children; "after" is a sibling.
   NodeId div = tree.ResolvePath("html/body/div");
   ASSERT_NE(div, kInvalidNode);
-  EXPECT_TRUE(tree.node(div).children.empty());
+  EXPECT_EQ(tree.Fanout(div), 0);
   EXPECT_EQ(tree.SubtreeText(body), "after");
 }
 
@@ -137,7 +135,7 @@ TEST(HtmlConformanceTest, ConditionalCommentStripped) {
 
 TEST(HtmlConformanceTest, CommentInsideScriptStaysRaw) {
   // The classic 1990s script-hiding idiom.
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<script><!--\nvar x = 1;\n// --></script><p>shown</p>");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "shown");
   EXPECT_EQ(CountTag(tree, Tag::kScript), 1);
@@ -152,7 +150,7 @@ TEST(HtmlConformanceTest, NulBytesDoNotBreakParsing) {
   std::string html = "<p>a";
   html.push_back('\0');
   html += "b</p>";
-  TagTree tree = ParseHtml(html);
+  ArenaTree tree = ParseHtml(html);
   EXPECT_EQ(CountTag(tree, Tag::kP), 1);
 }
 
@@ -161,7 +159,7 @@ TEST(HtmlConformanceTest, LeadingEndTagsIgnored) {
 }
 
 TEST(HtmlConformanceTest, UppercaseEverything) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<TABLE BORDER=\"1\"><TR><TD ALIGN=CENTER>X</TD></TR></TABLE>");
   NodeId td = tree.ResolvePath("html/body/table/tr/td");
   ASSERT_NE(td, kInvalidNode);
@@ -169,13 +167,13 @@ TEST(HtmlConformanceTest, UppercaseEverything) {
 }
 
 TEST(HtmlConformanceTest, WhitespaceOnlyTextNodesDropped) {
-  TagTree tree = ParseHtml("<div>\n   <p>x</p>\n   </div>");
+  ArenaTree tree = ParseHtml("<div>\n   <p>x</p>\n   </div>");
   NodeId div = tree.ResolvePath("html/body/div");
   EXPECT_EQ(tree.Fanout(div), 1);
 }
 
 TEST(HtmlConformanceTest, FramesetPages) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<frameset cols=\"20%,80%\"><frame src=\"nav.html\">"
       "<frame src=\"main.html\"></frameset>");
   EXPECT_EQ(CountTag(tree, Tag::kFrameset), 1);
@@ -186,7 +184,7 @@ TEST(HtmlConformanceTest, VeryLongAttributeValue) {
   std::string html = "<a href=\"/";
   html.append(100000, 'x');
   html += "\">link</a>";
-  TagTree tree = ParseHtml(html);
+  ArenaTree tree = ParseHtml(html);
   NodeId a = tree.ResolvePath("html/body/a");
   ASSERT_NE(a, kInvalidNode);
   EXPECT_EQ(tree.AttributeValue(a, "href").size(), 100001u);
@@ -196,10 +194,10 @@ TEST(HtmlConformanceTest, ManySiblingsStayFlat) {
   std::string html = "<ul>";
   for (int i = 0; i < 2000; ++i) html += "<li>item</li>";
   html += "</ul>";
-  TagTree tree = ParseHtml(html);
+  ArenaTree tree = ParseHtml(html);
   NodeId ul = tree.ResolvePath("html/body/ul");
   EXPECT_EQ(tree.Fanout(ul), 2000);
-  EXPECT_EQ(tree.Depth(tree.node(ul).children[1999]), 3);
+  EXPECT_EQ(tree.Depth(tree.node(ul).last_child), 3);
 }
 
 TEST(HtmlConformanceTest, RoundTripOfEveryConformanceCase) {
@@ -213,8 +211,8 @@ TEST(HtmlConformanceTest, RoundTripOfEveryConformanceCase) {
       "<dl><dt>a<dd>1<dt>b<dd>2</dl>",
   };
   for (const char* html : cases) {
-    TagTree first = ParseHtml(html);
-    TagTree second = ParseHtml(Serialize(first));
+    ArenaTree first = ParseHtml(html);
+    ArenaTree second = ParseHtml(Serialize(first));
     EXPECT_EQ(first.SubtreeSize(first.root()),
               second.SubtreeSize(second.root()))
         << html;

@@ -1,8 +1,8 @@
 // Seed-replayable mutation test for the HTML parser. Real fleet pages at
 // three template-drift epochs are cut up by four operators — splice,
 // duplicate, truncate, byte-flip — and every mutant must parse into a
-// well-formed tree under any max_nodes cap, with the learning TagTree an
-// exact copy of the serving ArenaTree.
+// well-formed tree under any max_nodes cap, whose page-sized copy (the tree
+// core::Page and deepweb::LabeledPage keep) reads back identically.
 //
 // A failure names the mutation seed; `Mutant(corpus, seed)` rebuilds the
 // offending input byte for byte.
@@ -18,7 +18,6 @@
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
 #include "src/html/arena_tree.h"
-#include "src/html/tag_tree.h"
 #include "src/util/rng.h"
 
 namespace thor::html {
@@ -101,9 +100,9 @@ std::string Mutant(const std::vector<std::string>& corpus, uint64_t seed) {
   return page;
 }
 
-/// Structural invariants of one parse, plus node-for-node equality of the
-/// TagTree copy. Stops at the first broken node.
-void ExpectWellFormed(const ArenaTree& hot, const TagTree& copy,
+/// Structural invariants of one parse, plus node-for-node equality of its
+/// page-sized copy. Stops at the first broken node.
+void ExpectWellFormed(const ArenaTree& hot, const ArenaTree& copy,
                       size_t input_size, int cap) {
   ASSERT_GE(hot.node_count(), 1);
   // The cap is checked before each token, and one token adds at most three
@@ -142,15 +141,24 @@ void ExpectWellFormed(const ArenaTree& hot, const TagTree& copy,
     ASSERT_EQ(n.content_length, content[id]);
     ASSERT_EQ(n.fanout, fanout[id]);
 
-    const Node& c = copy.node(id);
-    ASSERT_EQ(c.kind == NodeKind::kTag, n.is_tag());
+    const ArenaNode& c = copy.node(id);
     ASSERT_EQ(c.tag, n.tag);
-    ASSERT_EQ(c.text, n.text());
+    ASSERT_EQ(c.text(), n.text());
     ASSERT_EQ(c.parent, n.parent);
-    ASSERT_EQ(copy.Fanout(id), n.fanout);
+    ASSERT_EQ(c.first_child, n.first_child);
+    ASSERT_EQ(c.next_sibling, n.next_sibling);
+    ASSERT_EQ(c.fanout, n.fanout);
     ASSERT_EQ(c.depth, n.depth);
     ASSERT_EQ(c.subtree_size, n.subtree_size);
     ASSERT_EQ(c.content_length, n.content_length);
+    ASSERT_EQ(copy.PathSymbols(id), hot.PathSymbols(id));
+    std::vector<Attribute> ca = copy.Attributes(id);
+    std::vector<Attribute> ha = hot.Attributes(id);
+    ASSERT_EQ(ca.size(), ha.size());
+    for (size_t i = 0; i < ca.size(); ++i) {
+      ASSERT_EQ(ca[i].name, ha[i].name);
+      ASSERT_EQ(ca[i].value, ha[i].value);
+    }
   }
 }
 
@@ -166,7 +174,7 @@ TEST(HtmlMutationTest, MutantsParseIntoWellFormedTreesAndExactCopies) {
                  std::to_string(options.max_nodes) + ", " +
                  std::to_string(input.size()) + " bytes");
     const ArenaTree& hot = parser.Parse(input, options);
-    TagTree copy = parser.ToTagTree();
+    ArenaTree copy = hot;
     ExpectWellFormed(hot, copy, input.size(), options.max_nodes);
     if (HasFailure()) return;  // one seed is enough to replay
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/core/object_fields.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
@@ -36,7 +37,7 @@ class FleetSweep : public ::testing::TestWithParam<uint64_t> {
 TEST_P(FleetSweep, SerializeParseRoundTripIsStructurePreserving) {
   for (const auto& sample : Corpus(2)) {
     for (const auto& page : sample.pages) {
-      html::TagTree reparsed =
+      html::ArenaTree reparsed =
           html::ParseHtml(html::Serialize(page.tree));
       EXPECT_EQ(reparsed.SubtreeSize(reparsed.root()),
                 page.tree.SubtreeSize(page.tree.root()))
@@ -55,13 +56,13 @@ TEST_P(FleetSweep, ExtractionInvariants) {
     for (const auto& page_result : result->pages) {
       ASSERT_GE(page_result.page_index, 0);
       ASSERT_LT(page_result.page_index, static_cast<int>(pages.size()));
-      const html::TagTree& tree =
+      const html::ArenaTree& tree =
           pages[static_cast<size_t>(page_result.page_index)].tree;
       // The pagelet is a content-bearing tag node, never the whole page.
       ASSERT_GE(page_result.pagelet, 0);
       ASSERT_LT(page_result.pagelet, tree.node_count());
-      const html::Node& node = tree.node(page_result.pagelet);
-      EXPECT_EQ(node.kind, html::NodeKind::kTag);
+      const html::ArenaNode& node = tree.node(page_result.pagelet);
+      EXPECT_TRUE(node.is_tag());
       EXPECT_GT(node.content_length, 0);
       EXPECT_NE(page_result.pagelet, tree.root());
       // Objects tile inside the pagelet without duplicates.
@@ -109,13 +110,15 @@ TEST_P(FleetSweep, TemplateRegistryAgreesWithFullPipeline) {
     ASSERT_TRUE(result.ok());
     auto registry = core::TemplateRegistry::Learn(pages, *result);
     if (registry.empty()) continue;
+    auto compiled = core::CompiledTemplates::Compile(registry);
+    core::HotExtractor extractor;
     // Applying the learned templates to the very pages THOR extracted
     // from must reproduce (or relax-match) the pipeline's own answers.
     int agreements = 0;
     for (const auto& page_result : result->pages) {
-      const html::TagTree& tree =
+      const html::ArenaTree& tree =
           pages[static_cast<size_t>(page_result.page_index)].tree;
-      html::NodeId located = registry.Locate(tree);
+      html::NodeId located = extractor.Locate(tree, compiled).node;
       if (core::PageletMatches(tree, located, page_result.pagelet)) {
         ++agreements;
       }

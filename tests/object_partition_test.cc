@@ -11,7 +11,7 @@ namespace thor::core {
 namespace {
 
 TEST(ObjectPartitionTest, SplitsTableRows) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<table><tr><td>first item</td></tr><tr><td>second item</td></tr>"
       "<tr><td>third item</td></tr></table>");
   html::NodeId table = tree.ResolvePath("html/body/table");
@@ -24,7 +24,7 @@ TEST(ObjectPartitionTest, SplitsTableRows) {
 }
 
 TEST(ObjectPartitionTest, SplitsListItems) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<ul><li>alpha one</li><li>beta two</li><li>gamma three</li>"
       "<li>delta four</li></ul>");
   html::NodeId ul = tree.ResolvePath("html/body/ul");
@@ -33,7 +33,7 @@ TEST(ObjectPartitionTest, SplitsListItems) {
 }
 
 TEST(ObjectPartitionTest, PairsDtDd) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<dl><dt>term a</dt><dd>def a</dd><dt>term b</dt><dd>def b</dd>"
       "<dt>term c</dt><dd>def c</dd></dl>");
   html::NodeId dl = tree.ResolvePath("html/body/dl");
@@ -48,7 +48,7 @@ TEST(ObjectPartitionTest, PairsDtDd) {
 
 TEST(ObjectPartitionTest, ToleratesTrailingPartialPeriod) {
   // dt/dd pairs with a dangling dt (truncated listing).
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<dl><dt>a</dt><dd>1</dd><dt>b</dt><dd>2</dd><dt>c</dt></dl>");
   html::NodeId dl = tree.ResolvePath("html/body/dl");
   auto objects = PartitionObjects(tree, dl);
@@ -59,7 +59,7 @@ TEST(ObjectPartitionTest, ToleratesTrailingPartialPeriod) {
 TEST(ObjectPartitionTest, ShapeFallbackForMixedTags) {
   // Repeated div items with a stray heading between groups defeats the
   // exact period but shape grouping finds the divs.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<div><h3>section</h3>"
       "<div><a href='/1'>one</a> text</div>"
       "<div><a href='/2'>two</a> text</div>"
@@ -74,7 +74,7 @@ TEST(ObjectPartitionTest, ShapeFallbackForMixedTags) {
 
 TEST(ObjectPartitionTest, DetailRegionIsOneObject) {
   // No repetition below min_objects: the whole pagelet is a single object.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<div><h4>unique heading</h4><p>lone description paragraph</p></div>");
   html::NodeId pagelet = tree.ResolvePath("html/body/div");
   ObjectPartitionOptions options;
@@ -85,12 +85,12 @@ TEST(ObjectPartitionTest, DetailRegionIsOneObject) {
 }
 
 TEST(ObjectPartitionTest, InvalidPageletYieldsNothing) {
-  html::TagTree tree = html::ParseHtml("<p>x</p>");
+  html::ArenaTree tree = html::ParseHtml("<p>x</p>");
   EXPECT_TRUE(PartitionObjects(tree, html::kInvalidNode).empty());
 }
 
 TEST(ObjectPartitionTest, EmptySeparatorCellsIgnored) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<table><tr><td>a</td></tr><tr><td></td></tr>"
       "<tr><td>b</td></tr></table>");
   html::NodeId table = tree.ResolvePath("html/body/table");
@@ -100,7 +100,7 @@ TEST(ObjectPartitionTest, EmptySeparatorCellsIgnored) {
 }
 
 TEST(ObjectPartitionTest, ObjectTexts) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<ul><li>alpha one</li><li>beta two</li></ul>");
   html::NodeId ul = tree.ResolvePath("html/body/ul");
   auto objects = PartitionObjects(tree, ul);
@@ -112,7 +112,7 @@ TEST(ObjectPartitionTest, ObjectTexts) {
 
 TEST(CollapseFieldRowsTest, DetailPagesCollapseToOneRecord) {
   // Three detail pages: same field labels, different values.
-  std::vector<html::TagTree> storage;
+  std::vector<html::ArenaTree> storage;
   for (const char* name : {"Alpha One", "Beta Two", "Gamma Three"}) {
     std::string html = "<table>";
     html += "<tr><td>Title ";
@@ -138,7 +138,7 @@ TEST(CollapseFieldRowsTest, DetailPagesCollapseToOneRecord) {
 }
 
 TEST(CollapseFieldRowsTest, ResultListsAreLeftAlone) {
-  std::vector<html::TagTree> storage;
+  std::vector<html::ArenaTree> storage;
   const char* rows[3][3] = {
       {"Walnut Desk $10", "Maple Chair $20", "Oak Table $30"},
       {"Silver Ring $5", "Gold Band $50", "Brass Pin $2"},
@@ -169,7 +169,7 @@ TEST(CollapseFieldRowsTest, ResultListsAreLeftAlone) {
 }
 
 TEST(CollapseFieldRowsTest, TooFewPagesIsANoOp) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<table><tr><td>Title X</td></tr><tr><td>Price $1</td></tr>"
       "<tr><td>Year 1990</td></tr></table>");
   std::vector<PageObjects> pages;

@@ -101,7 +101,7 @@ TEST_F(PaperShapes, Figure6SyntheticScaleStability) {
 TEST_F(PaperShapes, Figure8CombinedDistanceBeatsSingleFeatures) {
   core::PrecisionRecall by_metric[2];  // 0 = fanout-only, 1 = combined
   for (const auto& sample : Corpus()) {
-    std::vector<const html::TagTree*> trees;
+    std::vector<const html::ArenaTree*> trees;
     std::vector<int> indices;
     for (size_t i = 0; i < sample.pages.size(); ++i) {
       if (sample.pages[i].true_class == deepweb::PageClass::kMultiMatch) {
@@ -131,7 +131,7 @@ TEST_F(PaperShapes, Figure9TfidfMakesSimilarityBimodal) {
   int high_with = 0;
   int middle_with = 0;
   for (const auto& sample : Corpus()) {
-    std::vector<const html::TagTree*> trees;
+    std::vector<const html::ArenaTree*> trees;
     for (const auto& page : sample.pages) {
       if (page.true_class == deepweb::PageClass::kMultiMatch) {
         trees.push_back(&page.tree);
@@ -190,7 +190,7 @@ TEST_F(PaperShapes, TreeEditDistanceIsOrdersOfMagnitudeSlower) {
   for (int i = 0; i < 6; ++i) {
     const auto& page = sample.pages[static_cast<size_t>(i)];
     trees.push_back(
-        treedist::OrderedTree::FromTagTree(page.tree, page.tree.root()));
+        treedist::OrderedTree::FromArenaTree(page.tree, page.tree.root()));
     auto counts = core::TagCountVector(page.tree);
     counts.Normalize();
     signatures.push_back(std::move(counts));

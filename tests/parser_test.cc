@@ -5,33 +5,40 @@
 namespace thor::html {
 namespace {
 
+// The children of `id`, in document order.
+std::vector<NodeId> Kids(const ArenaTree& tree, NodeId id) {
+  std::vector<NodeId> kids;
+  for (NodeId child : tree.Children(id)) kids.push_back(child);
+  return kids;
+}
+
 // Convenience: the <body> node of a parsed tree.
-NodeId Body(const TagTree& tree) {
-  for (NodeId child : tree.node(tree.root()).children) {
+NodeId Body(const ArenaTree& tree) {
+  for (NodeId child : tree.Children(tree.root())) {
     if (tree.node(child).tag == Tag::kBody) return child;
   }
   return kInvalidNode;
 }
 
 TEST(ParserTest, SynthesizesHtmlHeadBody) {
-  TagTree tree = ParseHtml("<html><head><title>t</title></head>"
+  ArenaTree tree = ParseHtml("<html><head><title>t</title></head>"
                            "<body><p>x</p></body></html>");
   EXPECT_EQ(tree.node(tree.root()).tag, Tag::kHtml);
-  ASSERT_EQ(tree.node(tree.root()).children.size(), 2u);
-  EXPECT_EQ(tree.node(tree.node(tree.root()).children[0]).tag, Tag::kHead);
-  EXPECT_EQ(tree.node(tree.node(tree.root()).children[1]).tag, Tag::kBody);
+  ASSERT_EQ(Kids(tree, tree.root()).size(), 2u);
+  EXPECT_EQ(tree.node(Kids(tree, tree.root())[0]).tag, Tag::kHead);
+  EXPECT_EQ(tree.node(Kids(tree, tree.root())[1]).tag, Tag::kBody);
 }
 
 TEST(ParserTest, BareTextGetsABody) {
-  TagTree tree = ParseHtml("just text");
+  ArenaTree tree = ParseHtml("just text");
   NodeId body = Body(tree);
   ASSERT_NE(body, kInvalidNode);
   EXPECT_EQ(tree.SubtreeText(body), "just text");
 }
 
 TEST(ParserTest, HeadOnlyTagsGoToHead) {
-  TagTree tree = ParseHtml("<title>T</title><meta name=\"a\"><p>body</p>");
-  NodeId head = tree.node(tree.root()).children[0];
+  ArenaTree tree = ParseHtml("<title>T</title><meta name=\"a\"><p>body</p>");
+  NodeId head = Kids(tree, tree.root())[0];
   EXPECT_EQ(tree.node(head).tag, Tag::kHead);
   EXPECT_EQ(tree.SubtreeText(head), "T");
   NodeId body = Body(tree);
@@ -39,86 +46,86 @@ TEST(ParserTest, HeadOnlyTagsGoToHead) {
 }
 
 TEST(ParserTest, ImpliedEndTagLi) {
-  TagTree tree = ParseHtml("<ul><li>one<li>two<li>three</ul>");
+  ArenaTree tree = ParseHtml("<ul><li>one<li>two<li>three</ul>");
   NodeId body = Body(tree);
-  NodeId ul = tree.node(body).children[0];
+  NodeId ul = Kids(tree, body)[0];
   EXPECT_EQ(tree.node(ul).tag, Tag::kUl);
-  ASSERT_EQ(tree.node(ul).children.size(), 3u);
-  for (NodeId li : tree.node(ul).children) {
+  ASSERT_EQ(Kids(tree, ul).size(), 3u);
+  for (NodeId li : Kids(tree, ul)) {
     EXPECT_EQ(tree.node(li).tag, Tag::kLi);
   }
 }
 
 TEST(ParserTest, ImpliedEndTagTableCells) {
-  TagTree tree =
+  ArenaTree tree =
       ParseHtml("<table><tr><td>a<td>b<tr><td>c</table>");
   NodeId body = Body(tree);
-  NodeId table = tree.node(body).children[0];
-  ASSERT_EQ(tree.node(table).children.size(), 2u);
-  NodeId tr1 = tree.node(table).children[0];
-  EXPECT_EQ(tree.node(tr1).children.size(), 2u);
-  NodeId tr2 = tree.node(table).children[1];
-  EXPECT_EQ(tree.node(tr2).children.size(), 1u);
+  NodeId table = Kids(tree, body)[0];
+  ASSERT_EQ(Kids(tree, table).size(), 2u);
+  NodeId tr1 = Kids(tree, table)[0];
+  EXPECT_EQ(Kids(tree, tr1).size(), 2u);
+  NodeId tr2 = Kids(tree, table)[1];
+  EXPECT_EQ(Kids(tree, tr2).size(), 1u);
 }
 
 TEST(ParserTest, ImpliedEndTagP) {
-  TagTree tree = ParseHtml("<p>one<p>two<div>three</div>");
+  ArenaTree tree = ParseHtml("<p>one<p>two<div>three</div>");
   NodeId body = Body(tree);
-  ASSERT_EQ(tree.node(body).children.size(), 3u);
-  EXPECT_EQ(tree.node(tree.node(body).children[0]).tag, Tag::kP);
-  EXPECT_EQ(tree.node(tree.node(body).children[1]).tag, Tag::kP);
-  EXPECT_EQ(tree.node(tree.node(body).children[2]).tag, Tag::kDiv);
+  ASSERT_EQ(Kids(tree, body).size(), 3u);
+  EXPECT_EQ(tree.node(Kids(tree, body)[0]).tag, Tag::kP);
+  EXPECT_EQ(tree.node(Kids(tree, body)[1]).tag, Tag::kP);
+  EXPECT_EQ(tree.node(Kids(tree, body)[2]).tag, Tag::kDiv);
 }
 
 TEST(ParserTest, DtDdAlternation) {
-  TagTree tree = ParseHtml("<dl><dt>a<dd>1<dt>b<dd>2</dl>");
+  ArenaTree tree = ParseHtml("<dl><dt>a<dd>1<dt>b<dd>2</dl>");
   NodeId body = Body(tree);
-  NodeId dl = tree.node(body).children[0];
-  ASSERT_EQ(tree.node(dl).children.size(), 4u);
-  EXPECT_EQ(tree.node(tree.node(dl).children[0]).tag, Tag::kDt);
-  EXPECT_EQ(tree.node(tree.node(dl).children[1]).tag, Tag::kDd);
+  NodeId dl = Kids(tree, body)[0];
+  ASSERT_EQ(Kids(tree, dl).size(), 4u);
+  EXPECT_EQ(tree.node(Kids(tree, dl)[0]).tag, Tag::kDt);
+  EXPECT_EQ(tree.node(Kids(tree, dl)[1]).tag, Tag::kDd);
 }
 
 TEST(ParserTest, VoidElementsDontNest) {
-  TagTree tree = ParseHtml("<div>a<br>b<img src='x'>c</div>");
+  ArenaTree tree = ParseHtml("<div>a<br>b<img src='x'>c</div>");
   NodeId body = Body(tree);
-  NodeId div = tree.node(body).children[0];
+  NodeId div = Kids(tree, body)[0];
   // children: "a", br, "b", img, "c"
-  ASSERT_EQ(tree.node(div).children.size(), 5u);
-  EXPECT_EQ(tree.node(tree.node(div).children[1]).tag, Tag::kBr);
-  EXPECT_TRUE(tree.node(tree.node(div).children[1]).children.empty());
-  EXPECT_EQ(tree.node(tree.node(div).children[3]).tag, Tag::kImg);
+  ASSERT_EQ(Kids(tree, div).size(), 5u);
+  EXPECT_EQ(tree.node(Kids(tree, div)[1]).tag, Tag::kBr);
+  EXPECT_TRUE(Kids(tree, Kids(tree, div)[1]).empty());
+  EXPECT_EQ(tree.node(Kids(tree, div)[3]).tag, Tag::kImg);
 }
 
 TEST(ParserTest, OrphanEndTagIgnored) {
-  TagTree tree = ParseHtml("<div>a</span></div><p>b</p>");
+  ArenaTree tree = ParseHtml("<div>a</span></div><p>b</p>");
   NodeId body = Body(tree);
-  ASSERT_EQ(tree.node(body).children.size(), 2u);
+  ASSERT_EQ(Kids(tree, body).size(), 2u);
   EXPECT_EQ(tree.SubtreeText(body), "a b");
 }
 
 TEST(ParserTest, MisnestedInlineRecovers) {
-  TagTree tree = ParseHtml("<b>bold<i>both</b>italic</i>");
+  ArenaTree tree = ParseHtml("<b>bold<i>both</b>italic</i>");
   NodeId body = Body(tree);
   EXPECT_EQ(tree.SubtreeText(body), "bold both italic");
 }
 
 TEST(ParserTest, StrayTableCellEndTagDoesNotCrossBoundary) {
-  TagTree tree = ParseHtml(
+  ArenaTree tree = ParseHtml(
       "<table><tr><td><div>x</td></tr></table>");
   NodeId body = Body(tree);
-  NodeId table = tree.node(body).children[0];
+  NodeId table = Kids(tree, body)[0];
   EXPECT_EQ(tree.node(table).tag, Tag::kTable);
   EXPECT_EQ(tree.SubtreeText(table), "x");
 }
 
 TEST(ParserTest, ScriptTextDropped) {
-  TagTree tree = ParseHtml("<script>var hidden = 1;</script><p>shown</p>");
+  ArenaTree tree = ParseHtml("<script>var hidden = 1;</script><p>shown</p>");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "shown");
   // The script tag node itself is kept (tag signatures count it).
   bool saw_script = false;
   for (NodeId id : tree.Preorder()) {
-    if (tree.node(id).kind == NodeKind::kTag &&
+    if (tree.node(id).is_tag() &&
         tree.node(id).tag == Tag::kScript) {
       saw_script = true;
     }
@@ -127,28 +134,28 @@ TEST(ParserTest, ScriptTextDropped) {
 }
 
 TEST(ParserTest, StyleTextDropped) {
-  TagTree tree = ParseHtml("<style>.c { color: red }</style><p>x</p>");
+  ArenaTree tree = ParseHtml("<style>.c { color: red }</style><p>x</p>");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "x");
 }
 
 TEST(ParserTest, TitleTextKept) {
-  TagTree tree = ParseHtml("<title>My Title</title><p>b</p>");
+  ArenaTree tree = ParseHtml("<title>My Title</title><p>b</p>");
   EXPECT_NE(tree.SubtreeText(tree.root()).find("My Title"),
             std::string::npos);
 }
 
 TEST(ParserTest, CommentsAndDoctypeStripped) {
-  TagTree tree = ParseHtml("<!DOCTYPE html><!-- c --><p>x</p><!-- d -->");
+  ArenaTree tree = ParseHtml("<!DOCTYPE html><!-- c --><p>x</p><!-- d -->");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "x");
   for (NodeId id : tree.Preorder()) {
-    if (tree.node(id).kind == NodeKind::kContent) {
-      EXPECT_EQ(tree.node(id).text, "x");
+    if (!tree.node(id).is_tag()) {
+      EXPECT_EQ(tree.node(id).text(), "x");
     }
   }
 }
 
 TEST(ParserTest, HtmlAttributesMergedToRoot) {
-  TagTree tree = ParseHtml("<html lang=\"en\"><body>x</body></html>");
+  ArenaTree tree = ParseHtml("<html lang=\"en\"><body>x</body></html>");
   EXPECT_EQ(tree.AttributeValue(tree.root(), "lang"), "en");
 }
 
@@ -157,14 +164,14 @@ TEST(ParserTest, MaxNodesCapStopsGrowth) {
   for (int i = 0; i < 1000; ++i) html += "<div>x</div>";
   ParseOptions options;
   options.max_nodes = 50;
-  TagTree tree = ParseHtml(html, options);
+  ArenaTree tree = ParseHtml(html, options);
   EXPECT_LE(tree.node_count(), 52);
 }
 
 TEST(ParserTest, DerivedFieldsAreFinalized) {
-  TagTree tree = ParseHtml("<div><p>abc</p><p>de</p></div>");
+  ArenaTree tree = ParseHtml("<div><p>abc</p><p>de</p></div>");
   NodeId body = Body(tree);
-  NodeId div = tree.node(body).children[0];
+  NodeId div = Kids(tree, body)[0];
   EXPECT_EQ(tree.node(div).content_length, 5);
   EXPECT_EQ(tree.SubtreeSize(div), 5);  // div, p, "abc", p, "de"
 }
@@ -173,19 +180,19 @@ TEST(ParserTest, DeeplyNestedInputDoesNotOverflow) {
   std::string html;
   for (int i = 0; i < 5000; ++i) html += "<div>";
   html += "x";
-  TagTree tree = ParseHtml(html);
+  ArenaTree tree = ParseHtml(html);
   EXPECT_GT(tree.node_count(), 5000);
   EXPECT_EQ(tree.SubtreeText(tree.root()), "x");
 }
 
 TEST(ParserTest, HeadClosedWhenBodyContentAppears) {
-  TagTree tree = ParseHtml("<title>T</title><div>main</div>");
+  ArenaTree tree = ParseHtml("<title>T</title><div>main</div>");
   NodeId body = Body(tree);
   ASSERT_NE(body, kInvalidNode);
-  NodeId div = tree.node(body).children[0];
+  NodeId div = Kids(tree, body)[0];
   EXPECT_EQ(tree.node(div).tag, Tag::kDiv);
   // head holds only the title.
-  NodeId head = tree.node(tree.root()).children[0];
+  NodeId head = Kids(tree, tree.root())[0];
   EXPECT_EQ(tree.node(head).tag, Tag::kHead);
   EXPECT_EQ(tree.SubtreeText(head), "T");
 }
@@ -201,23 +208,23 @@ TEST_P(ParserFuzzLite, GarbageNeverBreaksInvariants) {
     static constexpr char kAlphabet[] = "<>/=\"' abcdiv<table&#;!-";
     junk.push_back(kAlphabet[(state >> 33) % (sizeof(kAlphabet) - 1)]);
   }
-  TagTree tree = ParseHtml(junk);
+  ArenaTree tree = ParseHtml(junk);
   // Structural invariants hold for every node.
   for (NodeId id : tree.Preorder()) {
-    const Node& n = tree.node(id);
+    const ArenaNode& n = tree.node(id);
     if (id == tree.root()) {
       EXPECT_EQ(n.parent, kInvalidNode);
     } else {
       ASSERT_GE(n.parent, 0);
-      const Node& parent = tree.node(n.parent);
+      const ArenaNode& parent = tree.node(n.parent);
       bool found = false;
-      for (NodeId child : parent.children) found |= (child == id);
+      for (NodeId child : tree.Children(n.parent)) found |= (child == id);
       EXPECT_TRUE(found);
       EXPECT_EQ(n.depth, parent.depth + 1);
     }
-    if (n.kind == NodeKind::kContent) {
-      EXPECT_TRUE(n.children.empty());
-      EXPECT_FALSE(n.text.empty());
+    if (!n.is_tag()) {
+      EXPECT_EQ(n.fanout, 0);
+      EXPECT_FALSE(n.text().empty());
     }
   }
 }
@@ -228,11 +235,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzLite,
 // --- truncation regressions & checked parsing ---------------------------
 
 TEST(ParserTruncationTest, UnterminatedTagStillBuildsTree) {
-  TagTree tree = ParseHtml("<body><div id=\"a\"><p>text</p><div class");
+  ArenaTree tree = ParseHtml("<body><div id=\"a\"><p>text</p><div class");
   // The complete elements survive; the cut tag is best-effort.
   bool saw_p = false;
   for (NodeId id : tree.Preorder()) {
-    if (tree.node(id).kind == NodeKind::kTag &&
+    if (tree.node(id).is_tag() &&
         tree.node(id).tag == Tag::kP) {
       saw_p = true;
     }
@@ -247,10 +254,10 @@ TEST(ParserTruncationTest, EveryPrefixOfRealPageParses) {
       "<td>$9.99</td></tr><tr><td>Second</td><td>$1</td></tr></table>"
       "<script>track('q');</script></body></html>";
   for (size_t cut = 0; cut <= html.size(); ++cut) {
-    TagTree tree = ParseHtml(std::string_view(html).substr(0, cut));
+    ArenaTree tree = ParseHtml(std::string_view(html).substr(0, cut));
     // Structural invariants hold at every cut.
     for (NodeId id : tree.Preorder()) {
-      const Node& n = tree.node(id);
+      const ArenaNode& n = tree.node(id);
       if (id != tree.root()) {
         ASSERT_GE(n.parent, 0) << "cut at " << cut;
         EXPECT_EQ(n.depth, tree.node(n.parent).depth + 1);

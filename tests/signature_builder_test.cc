@@ -8,7 +8,7 @@ namespace thor::core {
 namespace {
 
 TEST(SignatureBuilderTest, TagCountsOnKnownPage) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<body><table><tr><td>a</td><td>b</td></tr></table><p>c</p></body>");
   ir::SparseVector tags = TagCountVector(tree);
   EXPECT_DOUBLE_EQ(tags.At(html::Tag::kHtml), 1.0);
@@ -20,20 +20,8 @@ TEST(SignatureBuilderTest, TagCountsOnKnownPage) {
   EXPECT_DOUBLE_EQ(tags.At(html::Tag::kUl), 0.0);
 }
 
-TEST(SignatureBuilderTest, TagCountsForSubtree) {
-  html::TagTree tree = html::ParseHtml(
-      "<div><p>x</p></div><table><tr><td>y</td></tr></table>");
-  html::NodeId table = tree.ResolvePath("html/body/table");
-  ASSERT_NE(table, html::kInvalidNode);
-  ir::SparseVector tags = TagCountVector(tree, table);
-  EXPECT_DOUBLE_EQ(tags.At(html::Tag::kTable), 1.0);
-  EXPECT_DOUBLE_EQ(tags.At(html::Tag::kTd), 1.0);
-  EXPECT_DOUBLE_EQ(tags.At(html::Tag::kDiv), 0.0);
-  EXPECT_DOUBLE_EQ(tags.At(html::Tag::kHtml), 0.0);
-}
-
 TEST(SignatureBuilderTest, TermVectorStemsAndCounts) {
-  html::TagTree tree =
+  html::ArenaTree tree =
       html::ParseHtml("<p>running runs</p><p>the guitar</p>");
   ir::Vocabulary vocab;
   ir::SparseVector terms = TermCountVector(tree, &vocab);
@@ -48,8 +36,8 @@ TEST(SignatureBuilderTest, TermVectorStemsAndCounts) {
 }
 
 TEST(SignatureBuilderTest, SharedVocabularyAlignsPages) {
-  html::TagTree a = html::ParseHtml("<p>guitar solo</p>");
-  html::TagTree b = html::ParseHtml("<p>guitar band</p>");
+  html::ArenaTree a = html::ParseHtml("<p>guitar solo</p>");
+  html::ArenaTree b = html::ParseHtml("<p>guitar band</p>");
   ir::Vocabulary vocab;
   ir::SparseVector va = TermCountVector(a, &vocab);
   ir::SparseVector vb = TermCountVector(b, &vocab);
@@ -59,7 +47,7 @@ TEST(SignatureBuilderTest, SharedVocabularyAlignsPages) {
 }
 
 TEST(SignatureBuilderTest, DistinctCounts) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<div><p>alpha beta</p><p>alpha gamma delta</p></div>");
   EXPECT_EQ(DistinctTermCount(tree), 4);
   // html, head?, body, div, p  -- head only if synthesized; count distinct
@@ -70,7 +58,7 @@ TEST(SignatureBuilderTest, DistinctCounts) {
 }
 
 TEST(SignatureBuilderTest, ScriptContentExcludedFromTerms) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseHtml(
       "<script>var secretword = 1;</script><p>visible</p>");
   ir::Vocabulary vocab;
   TermCountVector(tree, &vocab);

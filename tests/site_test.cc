@@ -121,7 +121,7 @@ TEST(SiteTest, PagesParseIntoValidTrees) {
   DeepWebSite site(TestConfig());
   for (const char* q : {"river", "zzqqx", "apple"}) {
     auto response = site.Query(q);
-    html::TagTree tree = html::ParseHtml(response.html);
+    html::ArenaTree tree = html::ParseHtml(response.html);
     EXPECT_GT(tree.node_count(), 10);
     EXPECT_FALSE(tree.SubtreeText(tree.root()).empty());
   }
@@ -178,8 +178,8 @@ TEST(SiteTest, DropOptionalEndTagsPreservesTreeStructure) {
       auto response = site.Query(q);
       std::string strict = response.html;
       std::string sloppy = DropOptionalEndTags(strict);
-      html::TagTree a = html::ParseHtml(strict);
-      html::TagTree b = html::ParseHtml(sloppy);
+      html::ArenaTree a = html::ParseHtml(strict);
+      html::ArenaTree b = html::ParseHtml(sloppy);
       EXPECT_EQ(a.SubtreeSize(a.root()), b.SubtreeSize(b.root()))
           << site.config().site_id << " " << q;
       EXPECT_EQ(a.SubtreeText(a.root()), b.SubtreeText(b.root()));

@@ -16,8 +16,8 @@ std::string MixedPage(const std::string& dynamic_text) {
 }
 
 struct Fixture {
-  std::vector<html::TagTree> storage;
-  std::vector<const html::TagTree*> trees;
+  std::vector<html::ArenaTree> storage;
+  std::vector<const html::ArenaTree*> trees;
   std::vector<CommonSubtreeSet> sets;
 
   explicit Fixture(const std::vector<std::string>& dynamic_texts) {
@@ -83,10 +83,10 @@ TEST(SubtreeRankingTest, IsDynamicThreshold) {
 }
 
 TEST(SubtreeRankingTest, SingletonSetGetsSimilarityOne) {
-  html::TagTree tree = html::ParseHtml("<p>lonely content</p>");
+  html::ArenaTree tree = html::ParseHtml("<p>lonely content</p>");
   CommonSubtreeSet set;
   set.members.push_back({0, tree.ResolvePath("html/body/p")});
-  std::vector<const html::TagTree*> trees = {&tree};
+  std::vector<const html::ArenaTree*> trees = {&tree};
   auto ranked = RankSubtreeSets(trees, {set}, {});
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_DOUBLE_EQ(ranked[0].intra_similarity, 1.0);
@@ -125,7 +125,7 @@ TEST(SubtreeRankingTest, IdenticalContentScoresExactlyOne) {
 }
 
 TEST(SubtreeRankingTest, EmptySetsListIsFine) {
-  std::vector<const html::TagTree*> trees;
+  std::vector<const html::ArenaTree*> trees;
   EXPECT_TRUE(RankSubtreeSets(trees, {}, {}).empty());
 }
 

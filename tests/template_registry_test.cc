@@ -6,11 +6,20 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
 
 namespace thor::core {
 namespace {
+
+// Applies `registry` to a page the way serving does: compiled, through
+// HotExtractor, the only code that applies a template.
+html::NodeId Locate(const TemplateRegistry& registry,
+                    const html::ArenaTree& tree) {
+  HotExtractor extractor;
+  return extractor.Locate(tree, CompiledTemplates::Compile(registry)).node;
+}
 
 struct Fixture {
   deepweb::DeepWebSite site;
@@ -63,7 +72,7 @@ TEST(TemplateRegistryTest, LocatesPageletsOnUnseenAnswerPages) {
     deepweb::LabeledPage page = deepweb::LabelPage(response);
     if (page.pagelet_node == html::kInvalidNode) continue;
     ++answers;
-    html::NodeId located = fixture.registry.Locate(page.tree);
+    html::NodeId located = Locate(fixture.registry, page.tree);
     if (PageletMatches(page.tree, located, page.pagelet_node)) {
       ++located_correctly;
     }
@@ -82,7 +91,7 @@ TEST(TemplateRegistryTest, RejectsNoMatchPages) {
     if (response.page_class != deepweb::PageClass::kNoMatch) continue;
     deepweb::LabeledPage page = deepweb::LabelPage(response);
     ++no_match_pages;
-    if (fixture.registry.Locate(page.tree) != html::kInvalidNode) {
+    if (Locate(fixture.registry, page.tree) != html::kInvalidNode) {
       ++false_positives;
     }
   }
@@ -96,17 +105,18 @@ TEST(TemplateRegistryTest, ExtractProducesObjects) {
   if (response.page_class != deepweb::PageClass::kMultiMatch) {
     GTEST_SKIP() << "category query did not multi-match";
   }
-  deepweb::LabeledPage page = deepweb::LabelPage(response);
-  auto extraction = fixture.registry.Extract(page.tree);
-  ASSERT_NE(extraction.pagelet, html::kInvalidNode);
+  HotExtractor extractor;
+  auto extraction = extractor.Extract(
+      response.html, CompiledTemplates::Compile(fixture.registry));
+  ASSERT_TRUE(extraction.hit);
   EXPECT_GE(extraction.objects.size(), 2u);
 }
 
 TEST(TemplateRegistryTest, EmptyRegistryLocatesNothing) {
   TemplateRegistry registry;
-  html::TagTree tree =
+  html::ArenaTree tree =
       html::ParseHtml("<table><tr><td>content</td></tr></table>");
-  EXPECT_EQ(registry.Locate(tree), html::kInvalidNode);
+  EXPECT_EQ(Locate(registry, tree), html::kInvalidNode);
   EXPECT_TRUE(registry.empty());
 }
 
@@ -131,8 +141,8 @@ TEST(TemplateRegistryTest, JsonRoundTripPreservesBehavior) {
   for (const char* query : {"window", "garden", "silver", "xqzzva"}) {
     deepweb::LabeledPage page =
         deepweb::LabelPage(fixture.site.Query(query));
-    EXPECT_EQ(fixture.registry.Locate(page.tree),
-              restored->Locate(page.tree))
+    EXPECT_EQ(Locate(fixture.registry, page.tree),
+              Locate(*restored, page.tree))
         << query;
   }
 }
@@ -192,7 +202,7 @@ TEST(TemplateRegistryTest, TemplatesTransferAcrossFreshProbeRounds) {
   deepweb::SiteSample fresh = deepweb::BuildSiteSample(fixture.site, probe);
   PrecisionRecall pr;
   for (const auto& page : fresh.pages) {
-    html::NodeId located = fixture.registry.Locate(page.tree);
+    html::NodeId located = Locate(fixture.registry, page.tree);
     if (page.pagelet_node != html::kInvalidNode) ++pr.truth;
     if (located == html::kInvalidNode) continue;
     ++pr.extracted;

@@ -5,10 +5,11 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/html/arena_tree.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
-#include "src/html/tag_tree.h"
 
 namespace thor::html {
 namespace {
@@ -17,18 +18,16 @@ namespace {
 std::string Shape(std::string_view html) { return Serialize(ParseHtml(html)); }
 
 /// First node (preorder) carrying `tag`, or kInvalidNode.
-NodeId First(const TagTree& tree, TagId tag) {
+NodeId First(const ArenaTree& tree, TagId tag) {
   for (NodeId id : tree.Preorder()) {
-    if (tree.node(id).kind == NodeKind::kTag && tree.node(id).tag == tag) {
-      return id;
-    }
+    if (tree.node(id).tag == tag) return id;
   }
   return kInvalidNode;
 }
 
 /// All content text of the page, space-joined in document order.
 std::string Text(std::string_view html) {
-  TagTree tree = ParseHtml(html);
+  ArenaTree tree = ParseHtml(html);
   return tree.SubtreeText(tree.root());
 }
 
@@ -42,10 +41,10 @@ TEST(TokenizerTest, TagNamesAreLowercased) {
 }
 
 TEST(TokenizerTest, QuotedAttributes) {
-  TagTree tree = ParseHtml(R"(<a href="/x" title='hi there'>)");
+  ArenaTree tree = ParseHtml(R"(<a href="/x" title='hi there'>)");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
-  const auto& attributes = tree.node(a).attributes;
+  std::vector<Attribute> attributes = tree.Attributes(a);
   ASSERT_EQ(attributes.size(), 2u);
   EXPECT_EQ(attributes[0].name, "href");
   EXPECT_EQ(attributes[0].value, "/x");
@@ -54,10 +53,10 @@ TEST(TokenizerTest, QuotedAttributes) {
 }
 
 TEST(TokenizerTest, UnquotedAndValuelessAttributes) {
-  TagTree tree = ParseHtml("<input type=text disabled>");
+  ArenaTree tree = ParseHtml("<input type=text disabled>");
   NodeId input = First(tree, Tag::kInput);
   ASSERT_NE(input, kInvalidNode);
-  const auto& attributes = tree.node(input).attributes;
+  std::vector<Attribute> attributes = tree.Attributes(input);
   ASSERT_EQ(attributes.size(), 2u);
   EXPECT_EQ(attributes[0].name, "type");
   EXPECT_EQ(attributes[0].value, "text");
@@ -66,9 +65,9 @@ TEST(TokenizerTest, UnquotedAndValuelessAttributes) {
 }
 
 TEST(TokenizerTest, AttributeNamesLowercasedValuesDecoded) {
-  TagTree tree = ParseHtml(R"(<a HREF="/s?a=1&amp;b=2">)");
+  ArenaTree tree = ParseHtml(R"(<a HREF="/s?a=1&amp;b=2">)");
   NodeId a = First(tree, Tag::kA);
-  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
+  ASSERT_EQ(tree.Attributes(a).size(), 1u);
   EXPECT_EQ(tree.AttributeValue(a, "href"), "/s?a=1&b=2");
 }
 
@@ -86,7 +85,7 @@ TEST(TokenizerTest, TextEntitiesDecoded) {
 
 TEST(TokenizerTest, Comments) {
   EXPECT_EQ(Shape("a<!-- hidden <b> -->b"), "<html><body>ab</body></html>");
-  TagTree tree = ParseHtml("a<!-- hidden <b> -->b");
+  ArenaTree tree = ParseHtml("a<!-- hidden <b> -->b");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "a b");  // two content nodes
   EXPECT_EQ(First(tree, Tag::kB), kInvalidNode);
 }
@@ -136,7 +135,7 @@ TEST(TokenizerTest, RawTextDoesNotStopAtPrefixCollision) {
 }
 
 TEST(TokenizerTest, TitleIsRawText) {
-  TagTree tree = ParseHtml("<title>a <b> c</title>");
+  ArenaTree tree = ParseHtml("<title>a <b> c</title>");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "a <b> c");
   EXPECT_EQ(First(tree, Tag::kB), kInvalidNode);
 }
@@ -147,11 +146,11 @@ TEST(TokenizerTest, EndTagAttributesIgnored) {
 }
 
 TEST(TokenizerTest, UnterminatedTagAtEof) {
-  TagTree tree = ParseHtml("<a href=");
+  ArenaTree tree = ParseHtml("<a href=");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
-  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
-  EXPECT_EQ(tree.node(a).attributes[0].name, "href");
+  ASSERT_EQ(tree.Attributes(a).size(), 1u);
+  EXPECT_EQ(tree.Attributes(a)[0].name, "href");
 }
 
 TEST(TokenizerTest, EmptyInput) { EXPECT_EQ(ParseHtml("").node_count(), 1); }
@@ -167,7 +166,7 @@ TEST_P(TokenizerFuzzLite, ArbitraryBytesAlwaysTerminate) {
     char c = static_cast<char>((state >> 33) & 0xFF);
     junk.push_back(c);
   }
-  TagTree tree = ParseHtml(junk);
+  ArenaTree tree = ParseHtml(junk);
   // Every node past the synthesized root, head and body costs input bytes.
   EXPECT_LE(tree.node_count(), static_cast<int>(junk.size()) + 3);
   EXPECT_LE(tree.node(tree.root()).content_length,
@@ -183,12 +182,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TokenizerFuzzLite,
 // read out of bounds.
 
 TEST(TokenizerTruncationTest, UnterminatedTagAtEof) {
-  TagTree tree = ParseHtml("<div class");
+  ArenaTree tree = ParseHtml("<div class");
   NodeId div = First(tree, Tag::kDiv);
   ASSERT_NE(div, kInvalidNode);
-  ASSERT_EQ(tree.node(div).attributes.size(), 1u);
-  EXPECT_EQ(tree.node(div).attributes[0].name, "class");
-  EXPECT_EQ(tree.node(div).attributes[0].value, "");
+  ASSERT_EQ(tree.Attributes(div).size(), 1u);
+  EXPECT_EQ(tree.Attributes(div)[0].name, "class");
+  EXPECT_EQ(tree.Attributes(div)[0].value, "");
 }
 
 TEST(TokenizerTruncationTest, TagNameCutAtEof) {
@@ -196,19 +195,19 @@ TEST(TokenizerTruncationTest, TagNameCutAtEof) {
 }
 
 TEST(TokenizerTruncationTest, AttributeQuoteCutMidValue) {
-  TagTree tree = ParseHtml("<a href=\"/partial/pa");
+  ArenaTree tree = ParseHtml("<a href=\"/partial/pa");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
-  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
+  ASSERT_EQ(tree.Attributes(a).size(), 1u);
   EXPECT_EQ(tree.AttributeValue(a, "href"), "/partial/pa");
 }
 
 TEST(TokenizerTruncationTest, AttributeCutBeforeValue) {
-  TagTree tree = ParseHtml("<a href=");
+  ArenaTree tree = ParseHtml("<a href=");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
-  ASSERT_EQ(tree.node(a).attributes.size(), 1u);
-  EXPECT_EQ(tree.node(a).attributes[0].value, "");
+  ASSERT_EQ(tree.Attributes(a).size(), 1u);
+  EXPECT_EQ(tree.Attributes(a)[0].value, "");
 }
 
 TEST(TokenizerTruncationTest, EntityCutAtEof) {
@@ -240,10 +239,10 @@ TEST(TokenizerTruncationTest, EveryPrefixOfRealMarkupTerminates) {
       "<table class=\"r\"><tr><td><a href='/x?q=1'>A &lt; B</a></td></tr>"
       "</table><script>if (a < b) { f(); }</script><!-- tail --></body>";
   for (size_t cut = 0; cut <= html.size(); ++cut) {
-    TagTree tree = ParseHtml(std::string_view(html).substr(0, cut));
+    ArenaTree tree = ParseHtml(std::string_view(html).substr(0, cut));
     EXPECT_LE(tree.node_count(), static_cast<int>(cut) + 3) << "cut at " << cut;
   }
-  TagTree full = ParseHtml(html);
+  ArenaTree full = ParseHtml(html);
   EXPECT_EQ(full.AttributeValue(First(full, Tag::kA), "href"), "/x?q=1");
   EXPECT_EQ(full.AttributeValue(First(full, Tag::kTable), "class"), "r");
 }

@@ -8,17 +8,13 @@ namespace thor::treedist {
 namespace {
 
 OrderedTree FromHtml(const char* html) {
-  html::TagTree tree = html::ParseHtml(html);
-  return OrderedTree::FromTagTree(tree, tree.root());
+  html::ArenaTree tree = html::ParseHtml(html);
+  return OrderedTree::FromArenaTree(tree, tree.root());
 }
 
 TEST(OrderedTreeTest, PostorderShape) {
-  html::TagTree tree;
-  html::NodeId body = tree.AddTag(tree.root(), html::Tag::kBody);
-  tree.AddTag(body, html::Tag::kDiv);
-  tree.AddTag(body, html::Tag::kP);
-  tree.FinalizeDerived();
-  OrderedTree ot = OrderedTree::FromTagTree(tree, tree.root());
+  html::ArenaTree tree = html::ParseHtml("<div></div><p></p>");
+  OrderedTree ot = OrderedTree::FromArenaTree(tree, tree.root());
   ASSERT_EQ(ot.size(), 4);
   // Postorder: div, p, body, html.
   EXPECT_EQ(ot.labels[0], html::Tag::kDiv);
@@ -113,30 +109,17 @@ TEST(TreeEditDistanceTest, NormalizedInUnitRange) {
 TEST(TreeEditDistanceTest, ClassicZhangShashaExample) {
   // Build the classic (f (d (a c(b)) e)) vs (f (c (d (a b)) e)) example
   // with tag stand-ins: f=div d=table a=tr c=td b=p e=ul.
-  html::TagTree t1;
-  {
-    auto f = t1.AddTag(t1.root(), html::Tag::kDiv);
-    auto d = t1.AddTag(f, html::Tag::kTable);
-    auto a = t1.AddTag(d, html::Tag::kTr);
-    (void)a;
-    auto c = t1.AddTag(d, html::Tag::kTd);
-    t1.AddTag(c, html::Tag::kP);
-    t1.AddTag(f, html::Tag::kUl);
-    t1.FinalizeDerived();
-  }
-  html::TagTree t2;
-  {
-    auto f = t2.AddTag(t2.root(), html::Tag::kDiv);
-    auto c = t2.AddTag(f, html::Tag::kTd);
-    auto d = t2.AddTag(c, html::Tag::kTable);
-    t2.AddTag(d, html::Tag::kTr);
-    t2.AddTag(d, html::Tag::kP);
-    t2.AddTag(f, html::Tag::kUl);
-    t2.FinalizeDerived();
-  }
-  // Subtrees below the shared synthetic html root.
-  OrderedTree a = OrderedTree::FromTagTree(t1, t1.node(t1.root()).children[0]);
-  OrderedTree b = OrderedTree::FromTagTree(t2, t2.node(t2.root()).children[0]);
+  html::ArenaTree t1 = html::ParseHtml(
+      "<div><table><tr></tr><td><p></p></td></table><ul></ul></div>");
+  html::ArenaTree t2 = html::ParseHtml(
+      "<div><td><table><tr></tr><p></p></table></td><ul></ul></div>");
+  // Subtrees below the synthesized html/body.
+  OrderedTree a =
+      OrderedTree::FromArenaTree(t1, t1.ResolvePath("html/body/div"));
+  OrderedTree b =
+      OrderedTree::FromArenaTree(t2, t2.ResolvePath("html/body/div"));
+  ASSERT_EQ(a.size(), 6);
+  ASSERT_EQ(b.size(), 6);
   // Known distance for the classic example is 2 (move c, move b).
   EXPECT_EQ(TreeEditDistance(a, b), 2);
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/core/object_fields.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
@@ -158,7 +159,7 @@ bool LoadPagesFromDir(const std::string& dir, std::vector<core::Page>* pages,
 }
 
 // JSON rendering of one extraction (pagelet + objects + fields).
-void WriteExtractionJson(const html::TagTree& tree, const std::string& name,
+void WriteExtractionJson(const html::ArenaTree& tree, const std::string& name,
                          html::NodeId pagelet,
                          const std::vector<core::ObjectSpan>& objects,
                          JsonWriter* json) {
@@ -169,7 +170,7 @@ void WriteExtractionJson(const html::TagTree& tree, const std::string& name,
   auto all_fields = core::PartitionAllFields(tree, objects);
   for (size_t o = 0; o < objects.size(); ++o) {
     json->BeginObject();
-    json->Key("text").String(core::ObjectTexts(tree, {objects[o]})[0]);
+    json->Key("text").String(core::ObjectText(tree, objects[o].parts));
     json->Key("fields").BeginArray();
     for (const core::QaField& field : all_fields[o]) {
       json->BeginObject();
@@ -245,6 +246,9 @@ int RunApply(int argc, char** argv) {
                  registry.status().ToString().c_str());
     return 1;
   }
+  core::CompiledTemplates compiled =
+      core::CompiledTemplates::Compile(*registry);
+  core::HotExtractor extractor;
   JsonWriter json;
   if (as_json) json.BeginObject(), json.Key("pages").BeginArray();
   for (const std::string& input : inputs) {
@@ -252,18 +256,18 @@ int RunApply(int argc, char** argv) {
     std::string html((std::istreambuf_iterator<char>(page_in)),
                      std::istreambuf_iterator<char>());
     core::Page page = core::Page::Parse(input, std::move(html));
-    auto extraction = registry->Extract(page.tree);
-    if (extraction.pagelet == html::kInvalidNode) {
+    html::NodeId pagelet = extractor.Locate(page.tree, compiled).node;
+    if (pagelet == html::kInvalidNode) {
       if (!as_json) std::printf("%-24s no QA-Pagelet\n", input.c_str());
       continue;
     }
+    std::vector<core::ObjectSpan> objects =
+        core::PartitionObjects(page.tree, pagelet);
     if (as_json) {
-      WriteExtractionJson(page.tree, input, extraction.pagelet,
-                          extraction.objects, &json);
+      WriteExtractionJson(page.tree, input, pagelet, objects, &json);
     } else {
       std::printf("%-24s pagelet=%-28s objects=%zu\n", input.c_str(),
-                  page.tree.PathString(extraction.pagelet).c_str(),
-                  extraction.objects.size());
+                  page.tree.PathString(pagelet).c_str(), objects.size());
     }
   }
   if (as_json) {
