@@ -332,7 +332,9 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   if (n > 0 && buf[n - 1] == ' ') --n;  // CollapseWhitespace trims the tail
   arena.ShrinkLast(buf, raw.size(), n);
   if (n == 0) return;
-  if (AtRootLevel()) EnsureBody();
+  // Text has no place directly in <head> (e.g. after </title>): like Tidy,
+  // close head and move it into a new body.
+  if (AtRootLevel() || Top() == head_) EnsureBody();
   tree_.AddContent(Top(), std::string_view(buf, n));
 }
 

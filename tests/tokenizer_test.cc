@@ -117,11 +117,21 @@ TEST(TokenizerTest, ScriptContentIsRawText) {
 }
 
 TEST(TokenizerTest, RawTextEndTagIsCaseInsensitive) {
-  // The end tag closes the element: "x" is its sibling, not its text.
+  // The end tag closes the element: "x" is not its text, and text cannot
+  // stay in <head>, so it opens <body>.
   EXPECT_EQ(Shape("<title>b { }</TiTlE>x"),
-            "<html><head><title>b { }</title>x</head></html>");
+            "<html><head><title>b { }</title></head><body>x</body></html>");
   EXPECT_EQ(Shape("<STYLE>b { }</StYlE>x"),
-            "<html><head><style></style>x</head></html>");
+            "<html><head><style></style></head><body>x</body></html>");
+}
+
+TEST(TokenizerTest, TextAfterClosedHeadElementOpensBody) {
+  EXPECT_EQ(Shape("<head><meta name=a>text<p>more</p>"),
+            "<html><head><meta name=\"a\"></head>"
+            "<body>text<p>more</p></body></html>");
+  // Whitespace between head elements is not text: no body is opened.
+  EXPECT_EQ(Shape("<head>\n<title>t</title>\n</head>"),
+            "<html><head><title>t</title></head></html>");
 }
 
 TEST(TokenizerTest, UnterminatedRawTextConsumesRest) {
