@@ -31,16 +31,16 @@ std::string Text(std::string_view html) {
   return tree.SubtreeText(tree.root());
 }
 
-TEST(TokenizerTest, SimpleStartEndText) {
+TEST(HtmlRecoveryTest, SimpleStartEndText) {
   EXPECT_EQ(Shape("<p>hello</p>"), "<html><body><p>hello</p></body></html>");
 }
 
-TEST(TokenizerTest, TagNamesAreLowercased) {
+TEST(HtmlRecoveryTest, TagNamesAreLowercased) {
   EXPECT_EQ(Shape("<TABLE><TR></TR></TABLE>"),
             "<html><body><table><tr></tr></table></body></html>");
 }
 
-TEST(TokenizerTest, QuotedAttributes) {
+TEST(HtmlRecoveryTest, QuotedAttributes) {
   ArenaTree tree = ParseHtml(R"(<a href="/x" title='hi there'>)");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
@@ -52,7 +52,7 @@ TEST(TokenizerTest, QuotedAttributes) {
   EXPECT_EQ(attributes[1].value, "hi there");
 }
 
-TEST(TokenizerTest, UnquotedAndValuelessAttributes) {
+TEST(HtmlRecoveryTest, UnquotedAndValuelessAttributes) {
   ArenaTree tree = ParseHtml("<input type=text disabled>");
   NodeId input = First(tree, Tag::kInput);
   ASSERT_NE(input, kInvalidNode);
@@ -64,14 +64,14 @@ TEST(TokenizerTest, UnquotedAndValuelessAttributes) {
   EXPECT_EQ(attributes[1].value, "");
 }
 
-TEST(TokenizerTest, AttributeNamesLowercasedValuesDecoded) {
+TEST(HtmlRecoveryTest, AttributeNamesLowercasedValuesDecoded) {
   ArenaTree tree = ParseHtml(R"(<a HREF="/s?a=1&amp;b=2">)");
   NodeId a = First(tree, Tag::kA);
   ASSERT_EQ(tree.Attributes(a).size(), 1u);
   EXPECT_EQ(tree.AttributeValue(a, "href"), "/s?a=1&b=2");
 }
 
-TEST(TokenizerTest, SelfClosingTag) {
+TEST(HtmlRecoveryTest, SelfClosingTag) {
   EXPECT_EQ(Shape("<br/><img src='x'/>"),
             "<html><body><br><img src=\"x\"></body></html>");
   // "/>" closes a non-void element at once: the text is its sibling.
@@ -79,44 +79,44 @@ TEST(TokenizerTest, SelfClosingTag) {
             "<html><body><div></div>after</body></html>");
 }
 
-TEST(TokenizerTest, TextEntitiesDecoded) {
+TEST(HtmlRecoveryTest, TextEntitiesDecoded) {
   EXPECT_EQ(Text("<b>Tom &amp; Jerry</b>"), "Tom & Jerry");
 }
 
-TEST(TokenizerTest, Comments) {
+TEST(HtmlRecoveryTest, Comments) {
   EXPECT_EQ(Shape("a<!-- hidden <b> -->b"), "<html><body>ab</body></html>");
   ArenaTree tree = ParseHtml("a<!-- hidden <b> -->b");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "a b");  // two content nodes
   EXPECT_EQ(First(tree, Tag::kB), kInvalidNode);
 }
 
-TEST(TokenizerTest, UnterminatedCommentConsumesRest) {
+TEST(HtmlRecoveryTest, UnterminatedCommentConsumesRest) {
   EXPECT_EQ(Shape("x<!-- never closed <p>y"), "<html><body>x</body></html>");
 }
 
-TEST(TokenizerTest, Doctype) {
+TEST(HtmlRecoveryTest, Doctype) {
   EXPECT_EQ(ParseHtml("<!DOCTYPE html><html>").node_count(), 1);
   EXPECT_EQ(Shape("<!DOCTYPE html><html><p>x"),
             "<html><body><p>x</p></body></html>");
 }
 
-TEST(TokenizerTest, BogusConstructsBecomeComments) {
+TEST(HtmlRecoveryTest, BogusConstructsBecomeComments) {
   EXPECT_EQ(ParseHtml("<?xml version='1.0'?><!foo>").node_count(), 1);
   EXPECT_EQ(Shape("<?xml version='1.0'?><!foo></3><p>y"),
             "<html><body><p>y</p></body></html>");
 }
 
-TEST(TokenizerTest, LiteralLessThanIsText) {
+TEST(HtmlRecoveryTest, LiteralLessThanIsText) {
   EXPECT_EQ(Text("if a < b then"), "if a < b then");
 }
 
-TEST(TokenizerTest, ScriptContentIsRawText) {
+TEST(HtmlRecoveryTest, ScriptContentIsRawText) {
   // The code is one raw-text run (no <b> or <d> tags), then dropped.
   EXPECT_EQ(Shape("<script>if (a<b && c>d) {}</script>after"),
             "<html><body><script></script>after</body></html>");
 }
 
-TEST(TokenizerTest, RawTextEndTagIsCaseInsensitive) {
+TEST(HtmlRecoveryTest, RawTextEndTagIsCaseInsensitive) {
   // The end tag closes the element: "x" is not its text, and text cannot
   // stay in <head>, so it opens <body>.
   EXPECT_EQ(Shape("<title>b { }</TiTlE>x"),
@@ -125,7 +125,7 @@ TEST(TokenizerTest, RawTextEndTagIsCaseInsensitive) {
             "<html><head><style></style></head><body>x</body></html>");
 }
 
-TEST(TokenizerTest, TextAfterClosedHeadElementOpensBody) {
+TEST(HtmlRecoveryTest, TextAfterClosedHeadElementOpensBody) {
   EXPECT_EQ(Shape("<head><meta name=a>text<p>more</p>"),
             "<html><head><meta name=\"a\"></head>"
             "<body>text<p>more</p></body></html>");
@@ -134,28 +134,28 @@ TEST(TokenizerTest, TextAfterClosedHeadElementOpensBody) {
             "<html><head><title>t</title></head></html>");
 }
 
-TEST(TokenizerTest, UnterminatedRawTextConsumesRest) {
+TEST(HtmlRecoveryTest, UnterminatedRawTextConsumesRest) {
   EXPECT_EQ(Shape("<title>var x = 1;<p>y"),
             "<html><head><title>var x = 1;&lt;p&gt;y</title></head></html>");
 }
 
-TEST(TokenizerTest, RawTextDoesNotStopAtPrefixCollision) {
+TEST(HtmlRecoveryTest, RawTextDoesNotStopAtPrefixCollision) {
   // "</titlex>" must not close <title>.
   EXPECT_EQ(Text("<title>a</titlex>b</title>"), "a</titlex>b");
 }
 
-TEST(TokenizerTest, TitleIsRawText) {
+TEST(HtmlRecoveryTest, TitleIsRawText) {
   ArenaTree tree = ParseHtml("<title>a <b> c</title>");
   EXPECT_EQ(tree.SubtreeText(tree.root()), "a <b> c");
   EXPECT_EQ(First(tree, Tag::kB), kInvalidNode);
 }
 
-TEST(TokenizerTest, EndTagAttributesIgnored) {
+TEST(HtmlRecoveryTest, EndTagAttributesIgnored) {
   EXPECT_EQ(Shape("<p>x</p class='x'>y"),
             "<html><body><p>x</p>y</body></html>");
 }
 
-TEST(TokenizerTest, UnterminatedTagAtEof) {
+TEST(HtmlRecoveryTest, UnterminatedTagAtEof) {
   ArenaTree tree = ParseHtml("<a href=");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
@@ -163,12 +163,12 @@ TEST(TokenizerTest, UnterminatedTagAtEof) {
   EXPECT_EQ(tree.Attributes(a)[0].name, "href");
 }
 
-TEST(TokenizerTest, EmptyInput) { EXPECT_EQ(ParseHtml("").node_count(), 1); }
+TEST(HtmlRecoveryTest, EmptyInput) { EXPECT_EQ(ParseHtml("").node_count(), 1); }
 
 // Garbage bytes must never crash or loop; they degrade into a tree.
-class TokenizerFuzzLite : public ::testing::TestWithParam<uint64_t> {};
+class HtmlRecoveryFuzzLite : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(TokenizerFuzzLite, ArbitraryBytesAlwaysTerminate) {
+TEST_P(HtmlRecoveryFuzzLite, ArbitraryBytesAlwaysTerminate) {
   uint64_t state = GetParam();
   std::string junk;
   for (int i = 0; i < 2048; ++i) {
@@ -183,7 +183,7 @@ TEST_P(TokenizerFuzzLite, ArbitraryBytesAlwaysTerminate) {
             static_cast<int>(junk.size()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TokenizerFuzzLite,
+INSTANTIATE_TEST_SUITE_P(Seeds, HtmlRecoveryFuzzLite,
                          ::testing::Values(1, 2, 3, 4, 5, 99, 12345));
 
 // --- truncation regressions --------------------------------------------
@@ -191,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TokenizerFuzzLite,
 // truncation artifact must degrade into a best-effort tree, never hang or
 // read out of bounds.
 
-TEST(TokenizerTruncationTest, UnterminatedTagAtEof) {
+TEST(HtmlRecoveryTruncationTest, UnterminatedTagAtEof) {
   ArenaTree tree = ParseHtml("<div class");
   NodeId div = First(tree, Tag::kDiv);
   ASSERT_NE(div, kInvalidNode);
@@ -200,11 +200,11 @@ TEST(TokenizerTruncationTest, UnterminatedTagAtEof) {
   EXPECT_EQ(tree.Attributes(div)[0].value, "");
 }
 
-TEST(TokenizerTruncationTest, TagNameCutAtEof) {
+TEST(HtmlRecoveryTruncationTest, TagNameCutAtEof) {
   EXPECT_EQ(Shape("text<di"), "<html><body>text<di></di></body></html>");
 }
 
-TEST(TokenizerTruncationTest, AttributeQuoteCutMidValue) {
+TEST(HtmlRecoveryTruncationTest, AttributeQuoteCutMidValue) {
   ArenaTree tree = ParseHtml("<a href=\"/partial/pa");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
@@ -212,7 +212,7 @@ TEST(TokenizerTruncationTest, AttributeQuoteCutMidValue) {
   EXPECT_EQ(tree.AttributeValue(a, "href"), "/partial/pa");
 }
 
-TEST(TokenizerTruncationTest, AttributeCutBeforeValue) {
+TEST(HtmlRecoveryTruncationTest, AttributeCutBeforeValue) {
   ArenaTree tree = ParseHtml("<a href=");
   NodeId a = First(tree, Tag::kA);
   ASSERT_NE(a, kInvalidNode);
@@ -220,30 +220,30 @@ TEST(TokenizerTruncationTest, AttributeCutBeforeValue) {
   EXPECT_EQ(tree.Attributes(a)[0].value, "");
 }
 
-TEST(TokenizerTruncationTest, EntityCutAtEof) {
+TEST(HtmlRecoveryTruncationTest, EntityCutAtEof) {
   // Not a known entity prefix with terminator: kept literally.
   EXPECT_EQ(Text("price &am"), "price &am");
 }
 
-TEST(TokenizerTruncationTest, NumericEntityCutAtEof) {
+TEST(HtmlRecoveryTruncationTest, NumericEntityCutAtEof) {
   EXPECT_EQ(Text("x &#6"), "x \x06");
 }
 
-TEST(TokenizerTruncationTest, CommentCutAtEof) {
+TEST(HtmlRecoveryTruncationTest, CommentCutAtEof) {
   EXPECT_EQ(ParseHtml("<!-- cut mid-comm").node_count(), 1);
 }
 
-TEST(TokenizerTruncationTest, EndTagCutAtEof) {
+TEST(HtmlRecoveryTruncationTest, EndTagCutAtEof) {
   EXPECT_EQ(Shape("<p>a</tabl"), "<html><body><p>a</p></body></html>");
 }
 
-TEST(TokenizerTruncationTest, RawTextCutAtEof) {
+TEST(HtmlRecoveryTruncationTest, RawTextCutAtEof) {
   EXPECT_EQ(Text("<title>var x = '<"), "var x = '<");
   EXPECT_EQ(Shape("<script>var x = '<"),
             "<html><body><script></script></body></html>");
 }
 
-TEST(TokenizerTruncationTest, EveryPrefixOfRealMarkupTerminates) {
+TEST(HtmlRecoveryTruncationTest, EveryPrefixOfRealMarkupTerminates) {
   const std::string html =
       "<!doctype html><html><head><title>T&amp;T</title></head><body>"
       "<table class=\"r\"><tr><td><a href='/x?q=1'>A &lt; B</a></td></tr>"
