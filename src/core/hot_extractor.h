@@ -51,10 +51,11 @@ class CompiledTemplates {
 /// Candidate filtering (CandidateSubtrees), Stage-3 partitioning
 /// (PartitionObjects) and object texts (ObjectText) are the functions
 /// learning runs, called here with scratch buffers that live as long as
-/// the extractor, so after a warm-up page serving allocates only its
-/// output. Path comparisons run on the page-local interned path table: the
-/// exact-path flag and the prototype edit-distance term are computed once
-/// per distinct path id per template instead of once per candidate.
+/// the extractor, so after a warm-up page locate and partition allocate
+/// nothing; only the response strings are new. Path comparisons run on
+/// the page-local interned path table: the exact-path flag and the
+/// prototype edit-distance term are computed once per distinct path id per
+/// template instead of once per candidate.
 /// tests/hotpath_diff_test.cc pins every response field against a golden
 /// file.
 ///
